@@ -14,7 +14,6 @@ from .annotation import (
     annotate,
     annotate_sentence,
     load_dictionary,
-    ngram_similarity,
     resolve_overlaps,
 )
 from .augment import (

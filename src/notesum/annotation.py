@@ -66,17 +66,6 @@ class AnnotatedSentence:
         return self.umls_spans if channel == UMLS_CHANNEL else self.i2b2_spans
 
 
-def _gram_counts(text: str) -> dict[str, int]:
-    """Trigram counts as a plain dict (hot path; see text.char_trigrams)."""
-    if len(text) < 3:
-        return {text: 1}
-    counts: dict[str, int] = {}
-    for k in range(len(text) - 2):
-        gram = text[k : k + 3]
-        counts[gram] = counts.get(gram, 0) + 1
-    return counts
-
-
 class TermDictionary:
     """Normalized term vocabulary with a trigram inverted index.
 
@@ -99,7 +88,7 @@ class TermDictionary:
         self.entry_texts: tuple[str, ...] = tuple(entries)
         self.entry_tokens: tuple[tuple[str, ...], ...] = tuple(entries.values())
         self._features: list[dict[str, int]] = [
-            _gram_counts(t) for t in self.entry_texts
+            char_trigrams(t) for t in self.entry_texts
         ]
         self._sizes: list[int] = [sum(f.values()) for f in self._features]
         self._exact: dict[str, int] = {t: i for i, t in enumerate(self.entry_texts)}
@@ -125,37 +114,26 @@ class TermDictionary:
     def __contains__(self, term: str) -> bool:
         return normalize(term) in self._exact
 
-    def entries_for_gram(self, gram: str) -> tuple[int, ...]:
-        return self._index.get(gram, ())
-
     def candidates_for_part(self, part: str) -> tuple[int, ...]:
         """Entries sharing at least one trigram feature with ``part``."""
         cached = self._part_cache.get(part)
         if cached is None:
             index_get = self._index.get
             ids: set[int] = set()
-            if len(part) < 3:
-                hit = index_get(part)
+            for gram in char_trigrams(part):
+                hit = index_get(gram)
                 if hit:
                     ids.update(hit)
-            else:
-                for k in range(len(part) - 2):
-                    hit = index_get(part[k : k + 3])
-                    if hit:
-                        ids.update(hit)
             cached = tuple(ids)
             if len(self._part_cache) >= self._PART_CACHE_LIMIT:
                 self._part_cache.clear()
             self._part_cache[part] = cached
         return cached
 
-    def is_exact(self, window: str) -> bool:
-        return window in self._exact
-
     def best_among(self, window: str, candidates: set[int], threshold: float) -> float:
         """Best Jaccard of ``window`` against the candidate entries, or 0.0
         when nothing reaches ``threshold``."""
-        feats = _gram_counts(window)
+        feats = char_trigrams(window)
         size = sum(feats.values())
         lo = threshold * size
         hi = size / threshold
@@ -182,19 +160,6 @@ class TermDictionary:
                 best = sim
         return best if best >= threshold else 0.0
 
-    def best_match(self, window: str, threshold: float) -> float:
-        """Highest similarity of ``window`` (already normalized) to any
-        entry, or 0.0 if nothing reaches ``threshold``."""
-        if window in self._exact:
-            return 1.0
-        if threshold >= 1.0:
-            # At threshold 1.0 only exact normalized matches qualify.
-            return 0.0
-        candidates: set[int] = set()
-        for gram in _gram_counts(window):
-            candidates.update(self._index.get(gram, ()))
-        return self.best_among(window, candidates, threshold)
-
 
 def load_dictionary(path: Union[str, Path], channel: str) -> TermDictionary:
     """Load a one-term-per-line UTF-8 dictionary file.
@@ -208,28 +173,6 @@ def load_dictionary(path: Union[str, Path], channel: str) -> TermDictionary:
     if not terms:
         raise ConfigurationError(f"dictionary file {path} is empty")
     return TermDictionary(terms, channel)
-
-
-def ngram_similarity(a: Sequence[str], b: Sequence[str]) -> float:
-    """Character-trigram multiset Jaccard of two token sequences.
-
-    The sequences are joined with single spaces and normalized before
-    trigram extraction. Symmetric; 1.0 for equal normalized strings.
-    """
-    if not a or not b:
-        raise ValueError("ngram_similarity requires non-empty token sequences")
-    sa = normalize(" ".join(a))
-    sb = normalize(" ".join(b))
-    if not sa or not sb:
-        raise ValueError("ngram_similarity requires non-blank tokens")
-    if sa == sb:
-        return 1.0
-    ca = char_trigrams(sa)
-    cb = char_trigrams(sb)
-    inter = sum((ca & cb).values())
-    if inter == 0:
-        return 0.0
-    return inter / (sum(ca.values()) + sum(cb.values()) - inter)
 
 
 def resolve_overlaps(spans: Sequence[EntitySpan]) -> list[EntitySpan]:

@@ -31,7 +31,7 @@ from .errors import (
     TemplateError,
 )
 from .seeding import substream
-from .text import segment_sentences, word_tokens
+from .text import _WORD_RE, segment_sentences, word_tokens
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +39,7 @@ TERM_1 = "[Term 1]"
 TERM_2 = "[Term 2]"
 SOURCE = "[Source]"
 CONTINUATION_MARKER = "Sentence 2:"
+_PLACEHOLDER_RE = re.compile("|".join(re.escape(p) for p in (TERM_1, TERM_2, SOURCE)))
 
 STOP_PUNCTUATION = (".", "!", "?")
 MAX_REQUIRED_TERMS = 2
@@ -168,14 +169,17 @@ class GenerationConfig:
     stop_punctuation: tuple[str, ...] = STOP_PUNCTUATION
 
     def __post_init__(self):
+        problems = []
         if self.max_output_tokens < 1:
-            raise ConfigurationError(
-                f"max_output_tokens must be >= 1, got {self.max_output_tokens}"
+            problems.append(
+                f"max_output_tokens: must be >= 1, got {self.max_output_tokens}"
             )
         if self.lam < 0:
-            raise ConfigurationError(f"lambda must be >= 0, got {self.lam}")
+            problems.append(f"lam: must be >= 0, got {self.lam}")
         if self.top_k is not None and self.top_k < 1:
-            raise ConfigurationError(f"top_k must be >= 1, got {self.top_k}")
+            problems.append(f"top_k: must be >= 1, got {self.top_k}")
+        if problems:
+            raise ConfigurationError(*problems)
 
 
 @dataclass
@@ -312,20 +316,19 @@ def select_terms(source: str, problem_list: str, max_terms: int = MAX_REQUIRED_T
     """Terms shared between a source sentence and its problem list.
 
     A term is a maximal contiguous word n-gram of the source that also
-    occurs contiguously (case-insensitive, punctuation-insensitive) in the
-    problem list. Longest matches win, overlapping shorter ones are
-    dropped, and at most ``max_terms`` survive. Surfaces keep the source's
-    original casing.
+    occurs contiguously (case-insensitive, punctuation-insensitive) within
+    one line of the problem list. Longest matches win, overlapping shorter
+    ones are dropped, and at most ``max_terms`` survive. Surfaces keep the
+    source's original casing.
     """
-    src_words = [m.group() for m in re.finditer(r"[A-Za-z0-9]+(?:['\-][A-Za-z0-9]+)*", source)]
+    src_words = _WORD_RE.findall(source)
     src_norm = [w.lower() for w in src_words]
-    ref_norm = word_tokens(problem_list)
-    if not src_norm or not ref_norm:
-        return []
     ref_grams: set[tuple[str, ...]] = set()
-    for n in range(1, len(src_norm) + 1):
-        for i in range(len(ref_norm) - n + 1):
-            ref_grams.add(tuple(ref_norm[i : i + n]))
+    for problem in problem_list.splitlines():
+        ref_norm = word_tokens(problem)
+        for n in range(1, len(src_norm) + 1):
+            for i in range(len(ref_norm) - n + 1):
+                ref_grams.add(tuple(ref_norm[i : i + n]))
     taken: set[int] = set()
     terms: list[str] = []
     for n in range(len(src_norm), 0, -1):
@@ -344,20 +347,17 @@ def select_terms(source: str, problem_list: str, max_terms: int = MAX_REQUIRED_T
 def instantiate_template(
     template: InstructionTemplate, terms: Sequence[str], source: str
 ) -> str:
-    """Byte-exact placeholder substitution; the prompt keeps the template's
-    'Sentence 2:' continuation ending."""
+    """Byte-exact placeholder substitution in one pass, so placeholder
+    text inside the source or a term stays literal; the prompt keeps the
+    template's 'Sentence 2:' continuation ending."""
     needed = template.arity()
     if len(terms) < needed:
         raise TemplateError(
             f"template for label {template.label.name} needs {needed} terms, "
             f"got {len(terms)}"
         )
-    prompt = template.text.replace(SOURCE, source)
-    if needed >= 1:
-        prompt = prompt.replace(TERM_1, terms[0])
-    if needed >= 2:
-        prompt = prompt.replace(TERM_2, terms[1])
-    return prompt
+    values = {SOURCE: source, **dict(zip((TERM_1, TERM_2), terms[:needed]))}
+    return _PLACEHOLDER_RE.sub(lambda m: values.get(m.group(), m.group()), template.text)
 
 
 def suppressed_scores(

@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -101,64 +100,7 @@ class PipelineConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
-
-
-def _validate(values: Mapping, required_paths: Sequence[str] = ()) -> list[str]:
-    errors = []
-
-    def check(cond: bool, message: str):
-        if not cond:
-            errors.append(message)
-
-    for name in ("p_umls", "p_i2b2", "p_sentence"):
-        check(0.0 <= values[name] <= 1.0, f"{name}: must be in [0, 1], got {values[name]}")
-    check(
-        math.isclose(values["p_umls"] + values["p_i2b2"], 1.0, abs_tol=1e-9),
-        f"p_umls/p_i2b2: must sum to 1.0, got {values['p_umls'] + values['p_i2b2']}",
-    )
-    check(
-        0.0 < values["keep_fraction"] <= 1.0,
-        f"keep_fraction: must be in (0, 1], got {values['keep_fraction']}",
-    )
-    check(
-        0.0 < values["threshold"] <= 1.0,
-        f"threshold: must be in (0, 1], got {values['threshold']}",
-    )
-    check(values["lam"] >= 0.0, f"lam: must be >= 0, got {values['lam']}")
-    for name in ("max_window", "max_output_tokens", "workers", "target_size"):
-        check(values[name] >= 1, f"{name}: must be >= 1, got {values[name]}")
-    check(
-        values["top_k"] is None or values["top_k"] >= 1,
-        f"top_k: must be >= 1, got {values['top_k']}",
-    )
-    check(
-        values["sentinel_format"].count("{i}") == 1,
-        f"sentinel_format: must contain exactly one {{i}}, got {values['sentinel_format']!r}",
-    )
-    check(
-        values["mode"] in ("a", "aso"),
-        f"mode: must be 'a' or 'aso', got {values['mode']!r}",
-    )
-    check(
-        values["i2b2_format"] in ("auto", "dict", "standoff"),
-        f"i2b2_format: must be auto, dict or standoff, got {values['i2b2_format']!r}",
-    )
-    weights = values["weights"]
-    if not isinstance(weights, Mapping) or not weights:
-        errors.append(f"weights: must be a non-empty scorer->weight map, got {weights!r}")
-    else:
-        total = sum(weights.values())
-        check(
-            math.isclose(total, 1.0, abs_tol=1e-9),
-            f"weights: must sum to 1.0, got {total}",
-        )
-    for name in required_paths:
-        value = values.get(name)
-        if value is None:
-            errors.append(f"{name}: required path is missing")
-        elif not Path(value).exists():
-            errors.append(f"{name}: path does not exist: {value}")
-    return errors
+I2B2_FORMATS = ("auto", "dict", "standoff")
 
 
 def parse_config(
@@ -171,10 +113,7 @@ def parse_config(
     Every validation problem is collected and reported in one
     ConfigurationError, one line per offending field.
     """
-    values = {
-        f.name: f.default if f.default_factory is MISSING else f.default_factory()
-        for f in fields(PipelineConfig)
-    }
+    values = asdict(PipelineConfig())
     errors: list[str] = []
     if config_path is not None:
         try:
@@ -195,10 +134,37 @@ def parse_config(
         for key, value in flags.items():
             if key in _CONFIG_KEYS and value is not None:
                 values[key] = value
-    errors.extend(_validate(values, required_paths))
+    cfg = PipelineConfig(**values)
+    # Each stage config checks the fields it owns; only the CLI's own
+    # settings are checked here.
+    for stage_config in (
+        cfg.mask_config,
+        cfg.annotation_config,
+        cfg.generation_config,
+        cfg.filter_config,
+    ):
+        try:
+            stage_config()
+        except ConfigurationError as exc:
+            errors.extend(exc.problems)
+    for name in ("workers", "target_size"):
+        if getattr(cfg, name) < 1:
+            errors.append(f"{name}: must be >= 1, got {getattr(cfg, name)}")
+    if cfg.mode not in {m.value for m in dataset_mod.CompositionMode}:
+        errors.append(f"mode: must be 'a' or 'aso', got {cfg.mode!r}")
+    if cfg.i2b2_format not in I2B2_FORMATS:
+        errors.append(
+            f"i2b2_format: must be auto, dict or standoff, got {cfg.i2b2_format!r}"
+        )
+    for name in required_paths:
+        value = getattr(cfg, name)
+        if value is None:
+            errors.append(f"{name}: required path is missing")
+        elif not Path(value).exists():
+            errors.append(f"{name}: path does not exist: {value}")
     if errors:
         raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(errors))
-    return PipelineConfig(**values)
+    return cfg
 
 
 def _parse_weights(text: str) -> dict:
@@ -232,22 +198,19 @@ def _load_i2b2_source(path: str, fmt: str):
     raise ConfigurationError(f"i2b2_source: file {path} is empty")
 
 
-def _iter_note_files(input_path: str):
+def _read_all_notes(input_path: str, stats=None):
     path = Path(input_path)
+    files = [path]
     if path.is_dir():
         files = sorted(path.glob("*.jsonl")) or sorted(path.glob("*.json"))
         if not files:
             raise DataError(f"no .jsonl note files under {path}")
-        return files
-    return [path]
-
-
-def _read_all_notes(input_path: str, stats=None):
-    for file in _iter_note_files(input_path):
+    for file in files:
         yield from corpus_mod.read_notes(file, stats=stats)
 
 
 def cmd_build_pretrain(args: argparse.Namespace) -> int:
+    """Mask the notes; ``stats`` is the same run with no corpus written."""
     cfg = parse_config(
         vars(args), args.config, required_paths=("umls_dict", "i2b2_source")
     )
@@ -264,42 +227,21 @@ def cmd_build_pretrain(args: argparse.Namespace) -> int:
         stats=stats,
         workers=cfg.workers,
     )
-    count = corpus_mod.write_corpus(examples, args.out)
+    if args.corpus is None:
+        for _ in examples:
+            pass
+    else:
+        count = corpus_mod.write_corpus(examples, args.corpus)
+        log.info("wrote %d examples to %s", count, args.corpus)
     stats.check()
-    if args.stats:
-        Path(args.stats).write_text(
+    if args.stats_json:
+        Path(args.stats_json).write_text(
             json.dumps(stats.as_dict(), indent=2) + "\n", encoding="utf-8"
         )
-    log.info("wrote %d examples to %s", count, args.out)
-    log.info("stats:\n%s", stats.report())
-    return EXIT_OK
-
-
-def cmd_stats(args: argparse.Namespace) -> int:
-    cfg = parse_config(
-        vars(args), args.config, required_paths=("umls_dict", "i2b2_source")
-    )
-    umls = load_dictionary(cfg.umls_dict, UMLS_CHANNEL)
-    i2b2 = _load_i2b2_source(cfg.i2b2_source, cfg.i2b2_format)
-    stats = corpus_mod.CorpusStats()
-    notes = _read_all_notes(args.input, stats=stats)
-    examples, stats = corpus_mod.build_pretrain_corpus(
-        notes,
-        umls,
-        i2b2,
-        cfg.mask_config(),
-        cfg.annotation_config(),
-        stats=stats,
-        workers=cfg.workers,
-    )
-    for _ in examples:
-        pass
-    stats.check()
-    print(stats.report())
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(stats.as_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+    if args.corpus is None:
+        print(stats.report())
+    else:
+        log.info("stats:\n%s", stats.report())
     return EXIT_OK
 
 
@@ -417,39 +359,38 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
 
 
+def _add_pretrain_args(parser: argparse.ArgumentParser):
+    parser.add_argument("--input", required=True, help="notes file or directory (JSONL)")
+    parser.add_argument("--umls-dict", dest="umls_dict", default=None,
+                        help="term file, one per line")
+    parser.add_argument("--i2b2-source", dest="i2b2_source", default=None,
+                        help="second channel: term file or standoff TSV")
+    parser.add_argument("--i2b2-format", dest="i2b2_format", choices=I2B2_FORMATS,
+                        default=None)
+    parser.add_argument("--p-umls", dest="p_umls", type=float, default=None)
+    parser.add_argument("--p-i2b2", dest="p_i2b2", type=float, default=None)
+    parser.add_argument("--p-sentence", dest="p_sentence", type=float, default=None)
+    parser.add_argument("--sentinel-format", dest="sentinel_format", default=None)
+    parser.add_argument("--threshold", type=float, default=None,
+                        help="matcher similarity threshold")
+    parser.add_argument("--max-window", dest="max_window", type=int, default=None)
+    _add_common(parser)
+    parser.set_defaults(func=cmd_build_pretrain)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="notesum", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-pretrain", parents=[], help="mask notes into a pre-training corpus")
-    p.add_argument("--input", required=True, help="notes file or directory (JSONL)")
-    p.add_argument("--umls-dict", dest="umls_dict", default=None, help="term file, one per line")
-    p.add_argument("--i2b2-source", dest="i2b2_source", default=None,
-                   help="second channel: term file or standoff TSV")
-    p.add_argument("--i2b2-format", dest="i2b2_format", choices=("auto", "dict", "standoff"),
-                   default=None)
-    p.add_argument("--out", required=True, help="output corpus (JSONL)")
-    p.add_argument("--stats", default=None, help="write stats JSON here")
-    p.add_argument("--p-umls", dest="p_umls", type=float, default=None)
-    p.add_argument("--p-i2b2", dest="p_i2b2", type=float, default=None)
-    p.add_argument("--p-sentence", dest="p_sentence", type=float, default=None)
-    p.add_argument("--sentinel-format", dest="sentinel_format", default=None)
-    p.add_argument("--threshold", type=float, default=None, help="matcher similarity threshold")
-    p.add_argument("--max-window", dest="max_window", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_build_pretrain)
+    p = sub.add_parser("build-pretrain", help="mask notes into a pre-training corpus")
+    _add_pretrain_args(p)
+    p.add_argument("--out", dest="corpus", required=True, help="output corpus (JSONL)")
+    p.add_argument("--stats", dest="stats_json", default=None, help="write stats JSON here")
 
-    p = sub.add_parser("stats", help="annotation/masking statistics without writing a corpus")
-    p.add_argument("--input", required=True)
-    p.add_argument("--umls-dict", dest="umls_dict", default=None)
-    p.add_argument("--i2b2-source", dest="i2b2_source", default=None)
-    p.add_argument("--i2b2-format", dest="i2b2_format", choices=("auto", "dict", "standoff"),
-                   default=None)
-    p.add_argument("--out", default=None, help="also write stats JSON here")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--max-window", dest="max_window", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_stats)
+    p = sub.add_parser("stats", help="build-pretrain's statistics without writing a corpus")
+    _add_pretrain_args(p)
+    p.add_argument("--out", dest="stats_json", default=None, help="also write stats JSON here")
+    p.set_defaults(corpus=None)
 
     p = sub.add_parser("augment", help="generate paraphrase candidates")
     p.add_argument("--train", required=True, help="section notes (JSONL)")

@@ -23,7 +23,7 @@ from .annotation import (
     TermDictionary,
     annotate_sentence,
 )
-from .errors import DataError, ParseError
+from .errors import ConfigurationError, DataError, ParseError
 from .masking import MaskedExample, MaskPolicyConfig, apply_mask, choose_mask_source
 from .seeding import substream
 from .text import segment_sentences
@@ -100,6 +100,15 @@ class AnnotationConfig:
     threshold: float = DEFAULT_THRESHOLD
     max_window: int = DEFAULT_MAX_WINDOW
 
+    def __post_init__(self):
+        problems = []
+        if not 0.0 < self.threshold <= 1.0:
+            problems.append(f"threshold: must be in (0, 1], got {self.threshold}")
+        if self.max_window < 1:
+            problems.append(f"max_window: must be >= 1, got {self.max_window}")
+        if problems:
+            raise ConfigurationError(*problems)
+
 
 def mask_note(
     note: ProgressNote,
@@ -158,13 +167,24 @@ def build_pretrain_corpus(
 ) -> tuple[Iterator[MaskedExample], CorpusStats]:
     """Masked examples for a note stream, one per note, in input order.
 
-    Returns the example iterator and the stats object it updates; counters
-    are final once the iterator is exhausted. ``workers > 1`` fans
-    annotation/masking out to a process pool while preserving input order,
-    so the output bytes never depend on the worker count.
+    A note that already contains sentinel-format text is skipped with a
+    warning and counted in ``stats.skipped``. Returns the example iterator
+    and the stats object it updates; counters are final once the iterator
+    is exhausted. ``workers > 1`` fans annotation/masking out to a process
+    pool while preserving input order, so the output bytes never depend on
+    the worker count.
     """
     if stats is None:
         stats = CorpusStats()
+    sentinel = mask_cfg.sentinel_pattern()
+
+    def maskable(notes):
+        for note in notes:
+            if sentinel.search(note.text):
+                log.warning("note %r contains sentinel-format text; skipped", note.doc_id)
+                stats.skipped += 1
+                continue
+            yield note
 
     def consume(results):
         for example, has_umls, has_i2b2, n_sentences in results:
@@ -180,7 +200,7 @@ def build_pretrain_corpus(
             yield example
 
     def serial():
-        for note in notes:
+        for note in maskable(notes):
             yield mask_note(note, umls_dict, i2b2_source, mask_cfg, annot_cfg)
 
     if workers <= 1:
@@ -192,7 +212,7 @@ def build_pretrain_corpus(
             initializer=_init_worker,
             initargs=(umls_dict, i2b2_source, mask_cfg, annot_cfg),
         ) as pool:
-            yield from pool.imap(_mask_note_task, notes, chunksize=64)
+            yield from pool.imap(_mask_note_task, maskable(notes), chunksize=64)
 
     return consume(parallel()), stats
 

@@ -83,11 +83,6 @@ def compose_input(
     return separator.join((assessment, subjective, objective))
 
 
-def serialize_problem_list(items: Sequence[str], delimiter: str = "\n") -> str:
-    """Join problem-list items into a target string (newline by default)."""
-    return delimiter.join(item.strip() for item in items if item.strip())
-
-
 def truncate_tokens(text: str, max_tokens: int) -> str:
     """First ``max_tokens`` whitespace tokens, re-joined with single spaces;
     text already within the cap is returned unchanged."""

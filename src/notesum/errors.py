@@ -10,7 +10,15 @@ class NotesumError(Exception):
 
 
 class ConfigurationError(NotesumError):
-    """Invalid configuration: bad probability, missing path, unknown scorer."""
+    """Invalid configuration: bad probability, missing path, unknown scorer.
+
+    ``problems`` holds one message per offending field, so callers that
+    validate several configs can report every problem at once.
+    """
+
+    def __init__(self, *problems: str):
+        self.problems = list(problems)
+        super().__init__("; ".join(problems))
 
 
 class TemplateError(ConfigurationError):

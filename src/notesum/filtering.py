@@ -13,7 +13,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,26 +32,16 @@ class EmbeddingProvider(ABC):
     def embed(self, token: str) -> np.ndarray: ...
 
 
-class OneHotEmbedding(EmbeddingProvider):
-    """Exact-match embeddings: distinct tokens get distinct basis vectors.
+class OneHotEmbedding:
+    """Exact-match embeddings: every distinct token its own basis vector.
 
-    Cosine similarity is 1 for equal tokens and 0 otherwise, which reduces
-    greedy matching to plain token overlap.
+    Cosine is 1 for equal tokens and 0 otherwise, so greedy matching is
+    token overlap, which :func:`greedy_match_f1` counts without building
+    vectors: there is no vocabulary to outgrow and no state.
     """
 
-    def __init__(self, dim: int = 4096):
-        self._dim = dim
-        self._ids: dict[str, int] = {}
 
-    def embed(self, token: str) -> np.ndarray:
-        idx = self._ids.setdefault(token, len(self._ids))
-        if idx >= self._dim:
-            raise ConfigurationError(
-                f"one-hot vocabulary exceeded {self._dim} tokens; raise dim"
-            )
-        vec = np.zeros(self._dim)
-        vec[idx] = 1.0
-        return vec
+Embedder = Union[EmbeddingProvider, OneHotEmbedding]
 
 
 def _token_rng(token: str, seed: int) -> np.random.Generator:
@@ -125,7 +115,7 @@ class FileEmbedding(EmbeddingProvider):
         return vec
 
 
-def make_embedder(spec: str) -> EmbeddingProvider:
+def make_embedder(spec: str) -> Embedder:
     """Build a provider from its CLI name: ``onehot``,
     ``hashed-random(seed)`` (or ``hashed-random:seed``) or ``file:<path>``."""
     if spec == "onehot":
@@ -146,67 +136,48 @@ def make_embedder(spec: str) -> EmbeddingProvider:
 def greedy_match_f1(
     candidate_tokens: Sequence[str],
     reference_tokens: Sequence[str],
-    embedder: EmbeddingProvider,
-    idf: Optional[Mapping[str, float]] = None,
+    embedder: Embedder,
 ) -> tuple[float, float, float]:
     """Greedy maximum-cosine matching of candidate against reference tokens.
 
     Precision averages each candidate token's best cosine similarity to
     the reference; recall is the mirror image; F1 is their harmonic mean.
-    ``idf`` optionally weights the averages per token. With one-hot
-    embeddings this reduces to token-overlap precision/recall/F1.
+    With one-hot embeddings a token's best cosine is 1 if it occurs on
+    the other side and 0 otherwise, which is counted without vectors.
     """
     if not candidate_tokens or not reference_tokens:
         raise ValueError("greedy_match_f1 requires non-empty token lists")
-    cand = np.stack([embedder.embed(t) for t in candidate_tokens])
-    ref = np.stack([embedder.embed(t) for t in reference_tokens])
-    cand = cand / np.maximum(np.linalg.norm(cand, axis=1, keepdims=True), 1e-12)
-    ref = ref / np.maximum(np.linalg.norm(ref, axis=1, keepdims=True), 1e-12)
-    sims = cand @ ref.T
-
-    def weights(tokens: Sequence[str]) -> np.ndarray:
-        if idf is None:
-            return np.ones(len(tokens))
-        return np.array([max(float(idf.get(t, 0.0)), 0.0) for t in tokens])
-
-    w_cand = weights(candidate_tokens)
-    w_ref = weights(reference_tokens)
-    if w_cand.sum() <= 0 or w_ref.sum() <= 0:
-        w_cand = np.ones(len(candidate_tokens))
-        w_ref = np.ones(len(reference_tokens))
-    precision = float(sims.max(axis=1) @ w_cand / w_cand.sum())
-    recall = float(sims.max(axis=0) @ w_ref / w_ref.sum())
+    n_cand, n_ref = len(candidate_tokens), len(reference_tokens)
+    if isinstance(embedder, OneHotEmbedding):
+        cand_set, ref_set = set(candidate_tokens), set(reference_tokens)
+        precision = sum(t in ref_set for t in candidate_tokens) / n_cand
+        recall = sum(t in cand_set for t in reference_tokens) / n_ref
+    else:
+        cand = np.stack([embedder.embed(t) for t in candidate_tokens])
+        ref = np.stack([embedder.embed(t) for t in reference_tokens])
+        cand = cand / np.maximum(np.linalg.norm(cand, axis=1, keepdims=True), 1e-12)
+        ref = ref / np.maximum(np.linalg.norm(ref, axis=1, keepdims=True), 1e-12)
+        sims = cand @ ref.T
+        # dot with ones rather than .mean(): the summation order fixes the
+        # last bits of the scores written to the pair files
+        precision = float(sims.max(axis=1) @ np.ones(n_cand) / n_cand)
+        recall = float(sims.max(axis=0) @ np.ones(n_ref) / n_ref)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
-
-
-def compute_idf(texts: Iterable[str]) -> dict[str, float]:
-    """Smoothed inverse document frequencies over whitespace tokens."""
-    doc_freq: dict[str, int] = {}
-    n_docs = 0
-    for text in texts:
-        n_docs += 1
-        for token in set(text.split()):
-            doc_freq[token] = doc_freq.get(token, 0) + 1
-    return {
-        token: math.log((n_docs + 1) / (freq + 1)) + 1.0
-        for token, freq in doc_freq.items()
-    }
 
 
 class EmbeddingScorer:
     """Scorer adapter: greedy-match F1 of candidate vs reference texts."""
 
-    def __init__(self, embedder: EmbeddingProvider, idf: Optional[Mapping[str, float]] = None):
+    def __init__(self, embedder: Embedder):
         self._embedder = embedder
-        self._idf = idf
 
     def __call__(self, candidate: str, reference: str) -> float:
         cand = candidate.lower().split()
         ref = reference.lower().split()
         if not cand or not ref:
             return 0.0
-        return greedy_match_f1(cand, ref, self._embedder, idf=self._idf)[2]
+        return greedy_match_f1(cand, ref, self._embedder)[2]
 
 
 def trigram_scorer(candidate: str, reference: str) -> float:
@@ -227,15 +198,23 @@ class FilterConfig:
     )
 
     def __post_init__(self):
+        problems = []
         if not 0.0 < self.keep_fraction <= 1.0:
-            raise ConfigurationError(
-                f"keep_fraction must be in (0, 1], got {self.keep_fraction}"
+            problems.append(
+                f"keep_fraction: must be in (0, 1], got {self.keep_fraction}"
             )
-        total = sum(self.weights.values())
-        if not math.isclose(total, 1.0, abs_tol=1e-9):
-            raise ConfigurationError(f"scorer weights must sum to 1, got {total}")
-        if any(w < 0 for w in self.weights.values()):
-            raise ConfigurationError("scorer weights must be non-negative")
+        if not isinstance(self.weights, Mapping) or not self.weights:
+            problems.append(
+                f"weights: must be a non-empty scorer->weight map, got {self.weights!r}"
+            )
+        else:
+            total = sum(self.weights.values())
+            if not math.isclose(total, 1.0, abs_tol=1e-9):
+                problems.append(f"weights: must sum to 1.0, got {total}")
+            if any(w < 0 for w in self.weights.values()):
+                problems.append("weights: must be non-negative")
+        if problems:
+            raise ConfigurationError(*problems)
 
 
 def combined_score(

@@ -56,19 +56,19 @@ class MaskPolicyConfig:
         problems = []
         if not math.isclose(self.p_umls + self.p_i2b2, 1.0, abs_tol=1e-9):
             problems.append(
-                f"p_umls + p_i2b2 must equal 1.0, got {self.p_umls + self.p_i2b2}"
+                f"p_umls/p_i2b2: must sum to 1.0, got {self.p_umls + self.p_i2b2}"
             )
         for name in ("p_umls", "p_i2b2", "p_sentence"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                problems.append(f"{name} must be in [0, 1], got {value}")
+                problems.append(f"{name}: must be in [0, 1], got {value}")
         if self.sentinel_format.count("{i}") != 1:
             problems.append(
-                f"sentinel_format must contain exactly one {{i}} placeholder, "
+                f"sentinel_format: must contain exactly one {{i}}, "
                 f"got {self.sentinel_format!r}"
             )
         if problems:
-            raise ConfigurationError("; ".join(problems))
+            raise ConfigurationError(*problems)
 
     def sentinel(self, i: int) -> str:
         return self.sentinel_format.replace("{i}", str(i))

@@ -102,11 +102,12 @@ def rouge_l(
     return PRF.from_counts(lcs, len(cand), len(ref))
 
 
-def score_pair(
+def score_summary(
     candidate: str,
     reference: str,
     stemmer: Optional[Callable[[str], str]] = None,
 ) -> RougeScore:
+    """ROUGE-1, ROUGE-2 and ROUGE-LCS of one candidate summary."""
     return RougeScore(
         r1=rouge_n(candidate, reference, 1, stemmer),
         r2=rouge_n(candidate, reference, 2, stemmer),
@@ -128,7 +129,7 @@ def evaluate_corpus(
         raise ValueError("cannot evaluate an empty corpus")
     totals = {(m, c): 0.0 for m in ("r1", "r2", "rl") for c in ("precision", "recall", "f1")}
     for pred, ref in zip(predictions, references):
-        score = score_pair(pred, ref, stemmer)
+        score = score_summary(pred, ref, stemmer)
         for metric in ("r1", "r2", "rl"):
             prf = getattr(score, metric)
             for component in ("precision", "recall", "f1"):

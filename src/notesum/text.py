@@ -9,7 +9,6 @@ which the masking round-trip depends on.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -32,12 +31,17 @@ def normalize(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def char_trigrams(text: str) -> Counter:
-    """Multiset of character trigrams; strings shorter than 3 chars
-    contribute themselves as a single gram."""
-    if len(text) >= 3:
-        return Counter(text[i : i + 3] for i in range(len(text) - 2))
-    return Counter({text: 1})
+def char_trigrams(text: str) -> dict[str, int]:
+    """Multiset of character trigrams as gram -> count; strings shorter
+    than 3 chars contribute themselves as a single gram. A plain dict loop:
+    the matcher calls this per window, and Counter is slower on short text."""
+    if len(text) < 3:
+        return {text: 1}
+    counts: dict[str, int] = {}
+    for k in range(len(text) - 2):
+        gram = text[k : k + 3]
+        counts[gram] = counts.get(gram, 0) + 1
+    return counts
 
 
 def trigram_jaccard(a: str, b: str) -> float:
@@ -51,7 +55,11 @@ def trigram_jaccard(a: str, b: str) -> float:
         return 1.0
     ca = char_trigrams(a)
     cb = char_trigrams(b)
-    inter = sum((ca & cb).values())
+    inter = 0
+    for gram, count in ca.items():
+        other = cb.get(gram)
+        if other:
+            inter += min(count, other)
     if inter == 0:
         return 0.0
     union = sum(ca.values()) + sum(cb.values()) - inter

@@ -43,6 +43,16 @@ def test_same_thing_template_must_keep_terms():
         )
 
 
+def test_generation_config_reports_every_problem():
+    with pytest.raises(ConfigurationError) as exc:
+        GenerationConfig(max_output_tokens=0, lam=-1.0, top_k=0)
+    assert [p.split(":")[0] for p in exc.value.problems] == [
+        "max_output_tokens",
+        "lam",
+        "top_k",
+    ]
+
+
 def test_default_prompt_instantiation_is_byte_exact():
     templates = TemplateSet.defaults()
     prompt = instantiate_template(
@@ -54,6 +64,17 @@ def test_default_prompt_instantiation_is_byte_exact():
         "Write two sentences that mean the same thing but keep these two "
         "healthcare terms CPAP,sat drifts. "
         "Sentence 1: pt on CPAP overnight with sat drifts . Sentence 2:"
+    )
+
+
+def test_placeholder_text_in_the_source_stays_literal():
+    templates = TemplateSet.defaults()
+    prompt = instantiate_template(
+        templates.get(LabelId.SAME_THING, 1), ["cpap"], "note says [Term 1] here"
+    )
+    assert prompt == (
+        "Write two sentences that mean the same thing but keep this healthcare "
+        "term cpap. Sentence 1: note says [Term 1] here Sentence 2:"
     )
 
 
@@ -111,6 +132,13 @@ def test_three_shared_terms_keep_two_longest():
     problems = "anemia\natrial fibrillation\nheart failure"
     got = select_terms(source, problems)
     assert got == ["atrial fibrillation", "heart failure"]
+
+
+def test_a_term_never_runs_across_two_problems():
+    assert select_terms("chest pain fever noted .", "chest pain\nfever") == [
+        "chest pain",
+        "fever",
+    ]
 
 
 def test_term_surface_keeps_source_casing():

@@ -47,6 +47,22 @@ def test_all_validation_errors_reported_at_once(tmp_path):
     assert "keep_fraction" in message
 
 
+def test_weights_that_are_not_a_map_are_reported(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"weights": [["embedding", 1.0]]}), encoding="utf-8")
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(None, str(config))
+    assert "weights: must be a non-empty scorer->weight map" in str(exc.value)
+
+
+def test_cli_owned_settings_are_checked_with_the_stage_configs():
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config({"workers": 0, "mode": "x", "threshold": 0.0, "lam": -1.0})
+    message = str(exc.value)
+    for name in ("workers", "mode", "threshold", "lam"):
+        assert f"{name}:" in message
+
+
 def test_unknown_config_key_is_an_error(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"probability": 0.7}), encoding="utf-8")
@@ -135,6 +151,77 @@ def test_stats_subcommand_prints_the_report(workspace, capsys):
     assert code == EXIT_OK
     printed = capsys.readouterr().out
     assert "rows" in printed and "no entities" in printed
+
+
+def test_stats_takes_the_masking_flags_of_build_pretrain(workspace):
+    d = workspace["dir"]
+    inputs = [
+        "--input", str(workspace["notes"]),
+        "--umls-dict", str(workspace["umls"]),
+        "--i2b2-source", str(workspace["i2b2"]),
+        "--seed", "3",
+    ]
+    built = d / "built-stats.json"
+    counted = d / "counted-stats.json"
+    default = d / "default-stats.json"
+    assert main(["build-pretrain", *inputs, "--p-sentence", "1.0",
+                 "--out", str(d / "corpus.jsonl"), "--stats", str(built)]) == EXIT_OK
+    assert main(["stats", *inputs, "--p-sentence", "1.0", "--out", str(counted)]) == EXIT_OK
+    assert main(["stats", *inputs, "--out", str(default)]) == EXIT_OK
+    assert counted.read_bytes() == built.read_bytes()
+    # the flag took effect: every entity-free sentence is now masked
+    assert (
+        json.loads(counted.read_text())["masks_total"]
+        > json.loads(default.read_text())["masks_total"]
+    )
+
+
+def test_note_with_sentinel_text_is_skipped_not_fatal(workspace):
+    d = workspace["dir"]
+    notes = write_note_file(
+        d / "poisoned.jsonl",
+        [
+            {"doc_id": "a", "text": "pt on cpap overnight ."},
+            {"doc_id": "b", "text": "copied <extra_id_0> from a corpus ."},
+            {"doc_id": "c", "text": "sat drifts noted ."},
+        ],
+    )
+    outs = []
+    for workers in ("1", "2"):
+        out = d / f"poisoned-{workers}.jsonl"
+        stats = d / f"poisoned-{workers}.json"
+        code = main(
+            [
+                "build-pretrain",
+                "--input", str(notes),
+                "--umls-dict", str(workspace["umls"]),
+                "--i2b2-source", str(workspace["i2b2"]),
+                "--workers", workers,
+                "--out", str(out),
+                "--stats", str(stats),
+            ]
+        )
+        assert code == EXIT_OK
+        assert [json.loads(line)["doc_id"] for line in out.read_text().splitlines()] == ["a", "c"]
+        assert json.loads(stats.read_text())["skipped"] == 1
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_default_onehot_filter_handles_a_large_vocabulary(tmp_path):
+    pairs = tmp_path / "pairs.jsonl"
+    with open(pairs, "w", encoding="utf-8") as fh:
+        for i in range(250):
+            record = {
+                "doc_id": f"d{i}",
+                "source": " ".join(f"s{i}x{j}" for j in range(10)),
+                "generated": " ".join(f"g{i}x{j}" for j in range(10)),
+                "label": 1.0,
+            }
+            fh.write(json.dumps(record) + "\n")
+    out = tmp_path / "kept.jsonl"
+    assert main(["filter", "--in", str(pairs), "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 38  # ceil(0.15 * 250)
 
 
 def test_standoff_i2b2_source_is_autodetected(workspace):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from notesum.corpus import (
+    AnnotationConfig,
     CorpusStats,
     ProgressNote,
     build_pretrain_corpus,
@@ -11,7 +12,7 @@ from notesum.corpus import (
     read_notes,
     write_corpus,
 )
-from notesum.errors import DataError, ParseError
+from notesum.errors import ConfigurationError, DataError, ParseError
 from notesum.masking import MaskPolicyConfig, MaskedExample, reconstruct
 
 from conftest import make_note_text, write_note_file
@@ -22,6 +23,12 @@ def test_note_requires_doc_id_and_some_text():
         ProgressNote(doc_id="", text="x")
     with pytest.raises(DataError):
         ProgressNote(doc_id="d1")
+
+
+def test_annotation_config_reports_every_problem():
+    with pytest.raises(ConfigurationError) as exc:
+        AnnotationConfig(threshold=0.0, max_window=0)
+    assert [p.split(":")[0] for p in exc.value.problems] == ["threshold", "max_window"]
 
 
 def test_note_text_falls_back_to_sections():

@@ -10,7 +10,6 @@ from notesum.dataset import (
     compose_input,
     read_instances,
     read_section_notes,
-    serialize_problem_list,
     truncate_tokens,
     write_instances,
 )
@@ -160,12 +159,6 @@ def test_cap_of_one_keeps_first_token():
     assert truncate_tokens("first second", 1) == "first"
     with pytest.raises(ValueError):
         truncate_tokens("x", 0)
-
-
-def test_problem_list_serialization_is_configurable():
-    items = ["heart failure", " anemia ", ""]
-    assert serialize_problem_list(items) == "heart failure\nanemia"
-    assert serialize_problem_list(items, delimiter="; ") == "heart failure; anemia"
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ from hypothesis import given, strategies as st
 
 from notesum.errors import ConfigurationError, ParseError
 from notesum.filtering import (
+    EmbeddingProvider,
     EmbeddingScorer,
     FileEmbedding,
     FilterConfig,
     HashedRandomEmbedding,
     OneHotEmbedding,
     combined_score,
-    compute_idf,
     filter_top_fraction,
     greedy_match_f1,
     make_embedder,
@@ -74,15 +74,22 @@ def test_swapping_sides_swaps_precision_and_recall(cand, ref):
     assert f1 == pytest.approx(f2, abs=1e-12)
 
 
-def test_idf_weights_change_the_mean():
-    idf = {"the": 0.0, "cpap": 2.0}
-    got = greedy_match_f1(["the", "cpap"], ["cpap"], OneHotEmbedding(), idf=idf)
-    assert got[0] == pytest.approx(1.0)  # 'the' carries no weight
+class BasisEmbedding(EmbeddingProvider):
+    """Explicit one-hot vectors over a fixed vocabulary."""
+
+    def __init__(self, vocabulary):
+        self._index = {t: i for i, t in enumerate(vocabulary)}
+
+    def embed(self, token):
+        vec = np.zeros(len(self._index))
+        vec[self._index[token]] = 1.0
+        return vec
 
 
-def test_compute_idf_prefers_rare_tokens():
-    idf = compute_idf(["the cpap", "the vent", "the labs"])
-    assert idf["cpap"] > idf["the"]
+@given(tokens_strategy, tokens_strategy)
+def test_onehot_equals_matching_over_explicit_basis_vectors(cand, ref):
+    explicit = greedy_match_f1(cand, ref, BasisEmbedding("abcdefgh"))
+    assert greedy_match_f1(cand, ref, OneHotEmbedding()) == explicit
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +181,16 @@ def test_filter_config_validates_weights():
         FilterConfig(weights={"embedding": 0.9, "trigram": 0.9})
     with pytest.raises(ConfigurationError):
         FilterConfig(keep_fraction=0.0)
+    for weights in ({}, [["embedding", 1.0]]):
+        with pytest.raises(ConfigurationError) as exc:
+            FilterConfig(weights=weights)
+        assert exc.value.problems[0].startswith("weights:")
+
+
+def test_filter_config_reports_every_problem():
+    with pytest.raises(ConfigurationError) as exc:
+        FilterConfig(keep_fraction=2.0, weights={"embedding": 1.5, "trigram": -0.5})
+    assert [p.split(":")[0] for p in exc.value.problems] == ["keep_fraction", "weights"]
 
 
 # ---------------------------------------------------------------------------

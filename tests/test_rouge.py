@@ -10,7 +10,7 @@ from notesum.rouge import (
     lcs_length,
     rouge_l,
     rouge_n,
-    score_pair,
+    score_summary,
     simple_stem,
 )
 
@@ -84,7 +84,7 @@ def test_precision_and_recall_swap_under_argument_swap(c, r):
 
 @given(texts, texts)
 def test_scores_stay_in_unit_interval(c, r):
-    score = score_pair(c, r)
+    score = score_summary(c, r)
     for metric in (score.r1, score.r2, score.rl):
         assert 0.0 <= metric.precision <= 1.0
         assert 0.0 <= metric.recall <= 1.0
@@ -118,7 +118,7 @@ def test_optional_stemming_merges_inflections():
 
 
 def test_table_layout_matches_the_reporting_convention():
-    table = format_table(score_pair("the cat sat", "the cat ate"))
+    table = format_table(score_summary("the cat sat", "the cat ate"))
     lines = table.splitlines()
     assert lines[0].split() == ["R-1", "R-2", "R-L"]
     assert [line.split()[0] for line in lines[1:]] == ["R-F1", "R-P", "R-R"]
