@@ -69,7 +69,7 @@ class AnnotatedSentence:
 class TermDictionary:
     """Normalized term vocabulary with a trigram inverted index.
 
-    Entries are deduplicated token sequences; normalization (lowercasing,
+    Entries are deduplicated normalized strings; normalization (lowercasing,
     whitespace collapse) happens exactly once, at load time. The index
     maps each trigram feature to the entries containing it, and entries
     carry their feature counts so a candidate outside the Jaccard size
@@ -77,16 +77,11 @@ class TermDictionary:
     """
 
     def __init__(self, terms: Sequence[str], name: str):
-        entries: dict[str, tuple[str, ...]] = {}
-        for term in terms:
-            norm = normalize(term)
-            if norm:
-                entries[norm] = tuple(norm.split())
+        entries = dict.fromkeys(norm for norm in map(normalize, terms) if norm)
         if not entries:
             raise ConfigurationError(f"dictionary {name!r} has no entries")
         self.name = name
         self.entry_texts: tuple[str, ...] = tuple(entries)
-        self.entry_tokens: tuple[tuple[str, ...], ...] = tuple(entries.values())
         self._features: list[dict[str, int]] = [
             char_trigrams(t) for t in self.entry_texts
         ]
@@ -110,9 +105,6 @@ class TermDictionary:
 
     def __len__(self) -> int:
         return len(self.entry_texts)
-
-    def __contains__(self, term: str) -> bool:
-        return normalize(term) in self._exact
 
     def candidates_for_part(self, part: str) -> tuple[int, ...]:
         """Entries sharing at least one trigram feature with ``part``."""

@@ -11,7 +11,6 @@ cue-conditioned bigram model ships for tests and demos.
 from __future__ import annotations
 
 import enum
-import json
 import logging
 import re
 from abc import ABC, abstractmethod
@@ -23,13 +22,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    BackendError,
-    ConfigurationError,
-    DataError,
-    ParseError,
-    TemplateError,
-)
+from .errors import BackendError, ConfigurationError, DataError, TemplateError
+from .jsonl import read_jsonl, write_jsonl
 from .seeding import substream
 from .text import _WORD_RE, segment_sentences, word_tokens
 
@@ -58,9 +52,6 @@ class LabelId(enum.Enum):
             if label.value == float(value):
                 return label
         raise DataError(f"unknown label value {value!r}; expected 1, 0.5 or 0")
-
-    def file_tag(self) -> str:
-        return {self.SAME_THING: "1", self.SOMEWHAT_SIMILAR: "0.5", self.DIFFERENT_TOPICS: "0"}[self]
 
 
 @dataclass(frozen=True)
@@ -140,14 +131,6 @@ class TemplateSet:
         templates.update(cls._parse_dir(directory.glob("*.txt")))
         return cls(templates)
 
-    def write_files(self, directory: Union[str, Path]) -> None:
-        """Materialize the current templates as editable files."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for (label, arity), template in self._templates.items():
-            name = f"label{label.file_tag()}_terms{arity}.txt"
-            (directory / name).write_text(template.text + "\n", encoding="utf-8")
-
     def get(self, label: LabelId, arity: int) -> InstructionTemplate:
         try:
             return self._templates[(label, arity)]
@@ -205,7 +188,7 @@ class GeneratedPair:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "GeneratedPair":
-        return cls(
+        pair = cls(
             source=record["source"],
             generated=record["generated"],
             label=LabelId.from_value(record["label"]),
@@ -213,6 +196,10 @@ class GeneratedPair:
             scores=dict(record.get("scores", {})),
             doc_id=record.get("doc_id", ""),
         )
+        for name in ("source", "generated", "doc_id"):
+            if not isinstance(getattr(pair, name), str):
+                raise DataError(f"pair field {name} is not text")
+        return pair
 
 
 class LanguageModel(ABC):
@@ -537,23 +524,8 @@ def augment_notes(
 
 
 def write_pairs(pairs: Iterable[GeneratedPair], path: Union[str, Path]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(json.dumps(pair.to_record(), ensure_ascii=False))
-            fh.write("\n")
-            count += 1
-    return count
+    return write_jsonl((pair.to_record() for pair in pairs), path)
 
 
 def read_pairs(path: Union[str, Path]) -> Iterator[GeneratedPair]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield GeneratedPair.from_record(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError, DataError) as exc:
-                raise ParseError(
-                    f"corrupt pair record: {exc}", path=str(path), line=lineno
-                ) from None
+    return read_jsonl(path, GeneratedPair.from_record)

@@ -23,7 +23,7 @@ from . import dataset as dataset_mod
 from . import filtering
 from . import rouge
 from .annotation import I2B2_CHANNEL, UMLS_CHANNEL, StandoffIndex, load_dictionary
-from .errors import ConfigurationError, DataError, NotesumError
+from .errors import ConfigurationError, DataError, NotesumError, ParseError
 from .masking import MaskPolicyConfig
 
 log = logging.getLogger("notesum")
@@ -299,27 +299,29 @@ def cmd_assemble(args: argparse.Namespace) -> int:
 
 
 def _read_eval_file(path: str) -> list[str]:
+    """One text per non-blank line: the line itself, or for a JSON object
+    line its first ``text``/``target``/``input`` value, which must be text."""
     texts = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            if line.lstrip().startswith("{"):
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{lineno}: bad JSON record: {exc}") from None
-                for key in ("text", "target", "input"):
-                    if key in record:
-                        texts.append(str(record[key]))
-                        break
-                else:
-                    raise DataError(
-                        f"{path}:{lineno}: record has none of the keys text/target/input"
-                    )
-            else:
+            if not line.lstrip().startswith("{"):
                 texts.append(line)
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"bad JSON record: {exc}", path=path, line=lineno) from None
+            key = next((k for k in ("text", "target", "input") if k in record), None)
+            if key is None:
+                raise ParseError(
+                    "record has none of the keys text/target/input", path=path, line=lineno
+                )
+            if not isinstance(record[key], str):
+                raise ParseError(f"record's {key} value is not text", path=path, line=lineno)
+            texts.append(record[key])
     return texts
 
 

@@ -9,12 +9,11 @@ randomness derives only from (seed, doc_id).
 
 from __future__ import annotations
 
-import json
 import logging
 import multiprocessing
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .annotation import (
     DEFAULT_MAX_WINDOW,
@@ -24,6 +23,7 @@ from .annotation import (
     annotate_sentence,
 )
 from .errors import ConfigurationError, DataError, ParseError
+from .jsonl import read_jsonl, write_jsonl
 from .masking import MaskedExample, MaskPolicyConfig, apply_mask, choose_mask_source
 from .seeding import substream
 from .text import segment_sentences
@@ -58,6 +58,14 @@ class ProgressNote:
             self.text = "\n".join(sections)
         if not self.text:
             raise DataError(f"note {self.doc_id!r} has no text and no sections")
+
+    @classmethod
+    def from_record(cls, record: Mapping) -> "ProgressNote":
+        return cls(
+            doc_id=str(record.get("doc_id", "")),
+            text=record.get("text", "") or "",
+            **{k: record.get(k) for k in SECTION_FIELDS},
+        )
 
 
 @dataclass
@@ -223,44 +231,21 @@ def read_notes(path: Union[str, Path], stats: Optional[CorpusStats] = None) -> I
     Malformed records are skipped with a warning (and counted when a
     stats object is supplied) rather than aborting a long run.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise DataError("record is not an object")
-                note = ProgressNote(
-                    doc_id=str(record.get("doc_id", "")),
-                    text=record.get("text", "") or "",
-                    **{k: record.get(k) for k in SECTION_FIELDS},
-                )
-            except (json.JSONDecodeError, DataError, TypeError) as exc:
-                log.warning("%s:%d: skipping malformed note: %s", path, lineno, exc)
-                if stats is not None:
-                    stats.skipped += 1
-                continue
-            yield note
+
+    def skip(error: ParseError) -> None:
+        log.warning("skipping malformed note: %s", error)
+        if stats is not None:
+            stats.skipped += 1
+
+    return read_jsonl(path, ProgressNote.from_record, on_error=skip)
 
 
 def write_corpus(examples: Iterable[MaskedExample], path: Union[str, Path]) -> int:
     """Write masked examples as line-delimited JSON; returns the count."""
-    count = 0
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for ex in examples:
-                fh.write(
-                    json.dumps(
-                        {"doc_id": ex.doc_id, "input": ex.input_text, "target": ex.target_text},
-                        ensure_ascii=False,
-                    )
-                )
-                fh.write("\n")
-                count += 1
-    except OSError as exc:
-        raise ParseError(f"cannot write corpus: {exc}", path=str(path)) from exc
-    return count
+    return write_jsonl(
+        ({"doc_id": ex.doc_id, "input": ex.input_text, "target": ex.target_text} for ex in examples),
+        path,
+    )
 
 
 def read_corpus(
@@ -271,20 +256,11 @@ def read_corpus(
 
     A corrupt line raises a ParseError naming the line number.
     """
-    cfg = MaskPolicyConfig(sentinel_format=sentinel_format)
-    pattern = cfg.sentinel_pattern()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                doc_id = record["doc_id"]
-                input_text = record["input"]
-                target_text = record["target"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(
-                    f"corrupt corpus record: {exc}", path=str(path), line=lineno
-                ) from None
-            num_masks = max(len(pattern.findall(target_text)) - 1, 0)
-            yield MaskedExample(doc_id, input_text, target_text, num_masks)
+    pattern = MaskPolicyConfig(sentinel_format=sentinel_format).sentinel_pattern()
+
+    def parse(record: dict) -> MaskedExample:
+        target = record["target"]
+        num_masks = max(len(pattern.findall(target)) - 1, 0)
+        return MaskedExample(record["doc_id"], record["input"], target, num_masks)
+
+    return read_jsonl(path, parse)

@@ -8,8 +8,8 @@ a target size without ever displacing an original instance.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .augment import GeneratedPair
 from .corpus import ProgressNote
-from .errors import DataError, ParseError
+from .errors import DataError
+from .jsonl import read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -164,14 +165,7 @@ def assemble_training_set(
             )
             continue
         new_assessment = assessment.replace(pair.source, pair.generated, 1)
-        patched = ProgressNote(
-            doc_id=note.doc_id,
-            text=note.text,
-            assessment=new_assessment,
-            subjective=note.subjective,
-            objective=note.objective,
-            summary=note.summary,
-        )
+        patched = dataclasses.replace(note, assessment=new_assessment)
         instance = TaskInstance(
             doc_id=note.doc_id,
             input_text=compose_input(patched, mode, separator),
@@ -190,60 +184,19 @@ def assemble_training_set(
 def read_section_notes(path: Union[str, Path]) -> Iterator[ProgressNote]:
     """Notes with section fields from line-delimited JSON; unlike the
     pre-training reader, malformed records here abort with context."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                yield ProgressNote(
-                    doc_id=str(record.get("doc_id", "")),
-                    text=record.get("text", "") or "",
-                    assessment=record.get("assessment"),
-                    subjective=record.get("subjective"),
-                    objective=record.get("objective"),
-                    summary=record.get("summary"),
-                )
-            except (json.JSONDecodeError, DataError, TypeError) as exc:
-                raise ParseError(
-                    f"bad note record: {exc}", path=str(path), line=lineno
-                ) from None
+    return read_jsonl(path, ProgressNote.from_record)
 
 
 def write_instances(instances: Iterable[TaskInstance], path: Union[str, Path]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(
-                json.dumps(
-                    {
-                        "doc_id": inst.doc_id,
-                        "input": inst.input_text,
-                        "target": inst.target_text,
-                        "provenance": inst.provenance.value,
-                    },
-                    ensure_ascii=False,
-                )
-            )
-            fh.write("\n")
-            count += 1
-    return count
-
-
-def read_instances(path: Union[str, Path]) -> Iterator[TaskInstance]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                yield TaskInstance(
-                    doc_id=record["doc_id"],
-                    input_text=record["input"],
-                    target_text=record["target"],
-                    provenance=Provenance(record.get("provenance", "original")),
-                )
-            except (json.JSONDecodeError, KeyError, ValueError, DataError) as exc:
-                raise ParseError(
-                    f"bad instance record: {exc}", path=str(path), line=lineno
-                ) from None
+    return write_jsonl(
+        (
+            {
+                "doc_id": inst.doc_id,
+                "input": inst.input_text,
+                "target": inst.target_text,
+                "provenance": inst.provenance.value,
+            }
+            for inst in instances
+        ),
+        path,
+    )

@@ -238,9 +238,6 @@ def score_pair(
     weights: Mapping[str, float],
 ) -> dict[str, float]:
     """Per-scorer values plus their weighted combination under 'combined'."""
-    for name in weights:
-        if weights[name] != 0.0 and name not in scorers:
-            raise ConfigurationError(f"unknown scorer {name!r} in weights")
     values = {name: float(fn(candidate, reference)) for name, fn in scorers.items()}
     values["combined"] = combined_score(values, weights)
     return values

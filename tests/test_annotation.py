@@ -66,7 +66,7 @@ def test_load_collapses_duplicate_terms(tmp_path):
     path.write_text("Heart Failure\nheart  failure\n", encoding="utf-8")
     d = load_dictionary(path, UMLS_CHANNEL)
     assert len(d) == 1
-    assert d.entry_tokens == (("heart", "failure"),)
+    assert d.entry_texts == ("heart failure",)
 
 
 def test_load_single_token_term(tmp_path):
@@ -74,7 +74,7 @@ def test_load_single_token_term(tmp_path):
     path.write_text("CPAP\n", encoding="utf-8")
     d = load_dictionary(path, UMLS_CHANNEL)
     assert len(d) == 1
-    assert "cpap" in d
+    assert d.entry_texts == ("cpap",)
 
 
 def test_load_empty_file_is_a_configuration_error(tmp_path):

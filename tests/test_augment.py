@@ -103,17 +103,6 @@ def test_template_directory_overrides_one_slot(tmp_path):
     assert templates.get(LabelId.SAME_THING, 2).text.startswith("Write two sentences")
 
 
-def test_template_files_round_trip(tmp_path):
-    TemplateSet.defaults().write_files(tmp_path)
-    assert sorted(p.name for p in tmp_path.glob("*.txt")) == sorted(
-        f"label{tag}_terms{n}.txt" for tag in ("1", "0.5", "0") for n in (0, 1, 2)
-    )
-    reloaded = TemplateSet.load(tmp_path)
-    for label in LabelId:
-        for arity in (0, 1, 2):
-            assert reloaded.get(label, arity).text == TemplateSet.defaults().get(label, arity).text
-
-
 # ---------------------------------------------------------------------------
 # term selection
 

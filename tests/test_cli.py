@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +291,50 @@ def test_evaluate_mismatched_files_is_a_data_error(tmp_path):
     ref = write_lines(tmp_path / "ref.txt", ["one"])
     code = main(["evaluate", "--pred", str(pred), "--ref", str(ref)])
     assert code == EXIT_DATA
+
+
+SECTION_NOTE = {"doc_id": "s1", "assessment": "pt on cpap .", "subjective": "s",
+                "objective": "o", "summary": "cpap"}
+PAIR = {"doc_id": "s1", "source": "pt on cpap .", "generated": "on cpap .", "label": 1.0}
+# case: (good first record, bad second line, command line with {f} the file)
+MALFORMED_RECORD_CASES = {
+    "augment": (SECTION_NOTE, "[1, 2]", ["augment", "--train", "{f}", "--out", "{d}/o"]),
+    "assemble": (SECTION_NOTE, "[1, 2]", ["assemble", "--notes", "{f}", "--out", "{d}/o"]),
+    "assemble-pair-text": (
+        PAIR,
+        '{"doc_id": "s1", "source": "pt on cpap .", "generated": 7, "label": 1}',
+        ["assemble", "--notes", "{d}/notes.jsonl", "--augmented", "{f}", "--out", "{d}/o"],
+    ),
+    "filter": (
+        PAIR,
+        '{"source": "a", "generated": "b", "label": "x"}',
+        ["filter", "--in", "{f}", "--out", "{d}/o"],
+    ),
+    "filter-pair-text": (
+        PAIR,
+        '{"source": 5, "generated": "b", "label": 1}',
+        ["filter", "--in", "{f}", "--out", "{d}/o"],
+    ),
+    "evaluate": ({"text": "the cat sat"}, '{"text": null}', ["evaluate", "--pred", "{f}", "--ref", "{f}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORD_CASES))
+def test_malformed_record_exits_data_naming_its_line(tmp_path, case):
+    good, bad, args = MALFORMED_RECORD_CASES[case]
+    (tmp_path / "notes.jsonl").write_text(json.dumps(SECTION_NOTE) + "\n", encoding="utf-8")
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(good) + "\n" + bad + "\n", encoding="utf-8")
+    argv = [a.format(f=records, d=tmp_path) for a in args]
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "notesum", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == EXIT_DATA, result.stderr
+    assert f"{records}:2:" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def run_chain(workspace, tag, seed="11"):

@@ -116,10 +116,11 @@ def test_corpus_write_read_round_trip(tmp_path):
 
 def test_corrupt_corpus_line_names_the_line(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    path.write_text('{"doc_id": "a", "input": "x", "target": "<extra_id_0>"}\nnot json\n')
-    with pytest.raises(ParseError) as exc:
-        list(read_corpus(path))
-    assert ":2" in str(exc.value)
+    for bad in ("not json", '{"doc_id": "b", "input": "x", "target": 5}'):
+        path.write_text('{"doc_id": "a", "input": "x", "target": "<extra_id_0>"}\n' + bad + "\n")
+        with pytest.raises(ParseError) as exc:
+            list(read_corpus(path))
+        assert ":2" in str(exc.value)
 
 
 def test_empty_corpus_file_reads_as_empty(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from notesum.augment import GeneratedPair, LabelId
@@ -8,7 +10,6 @@ from notesum.dataset import (
     TaskInstance,
     assemble_training_set,
     compose_input,
-    read_instances,
     read_section_notes,
     truncate_tokens,
     write_instances,
@@ -172,7 +173,10 @@ def test_instances_round_trip(tmp_path):
     ]
     path = tmp_path / "train.jsonl"
     assert write_instances(instances, path) == 2
-    assert list(read_instances(path)) == instances
+    assert [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()] == [
+        {"doc_id": "d1", "input": "input one", "target": "target one", "provenance": "original"},
+        {"doc_id": "d2", "input": "input two", "target": "target two", "provenance": "augmented"},
+    ]
 
 
 def test_section_notes_reader_aborts_on_bad_records(tmp_path):
