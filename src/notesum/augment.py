@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import BackendError, ConfigurationError, DataError, TemplateError
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import is_number, read_jsonl, write_jsonl
 from .seeding import substream
 from .text import _WORD_RE, segment_sentences, word_tokens
 
@@ -37,6 +37,7 @@ _PLACEHOLDER_RE = re.compile("|".join(re.escape(p) for p in (TERM_1, TERM_2, SOU
 
 STOP_PUNCTUATION = (".", "!", "?")
 MAX_REQUIRED_TERMS = 2
+BIGRAM_SMOOTHING = 0.01
 
 
 class LabelId(enum.Enum):
@@ -142,14 +143,13 @@ class TemplateSet:
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    """Decoding settings: output cap, self-debias strength, stop rule."""
+    """Decoding settings: output cap, self-debias strength, sampling."""
 
     max_output_tokens: int = 40
     lam: float = 1.0
     greedy: bool = True
     top_k: Optional[int] = None
     seed: int = 0
-    stop_punctuation: tuple[str, ...] = STOP_PUNCTUATION
 
     def __post_init__(self):
         problems = []
@@ -192,13 +192,18 @@ class GeneratedPair:
             source=record["source"],
             generated=record["generated"],
             label=LabelId.from_value(record["label"]),
-            required_terms=list(record.get("required_terms", [])),
-            scores=dict(record.get("scores", {})),
+            required_terms=record.get("required_terms", []),
+            scores=record.get("scores", {}),
             doc_id=record.get("doc_id", ""),
         )
         for name in ("source", "generated", "doc_id"):
             if not isinstance(getattr(pair, name), str):
                 raise DataError(f"pair field {name} is not text")
+        terms, scores = pair.required_terms, pair.scores
+        if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
+            raise DataError("pair field required_terms is not a list of text")
+        if not (isinstance(scores, dict) and all(map(is_number, scores.values()))):
+            raise DataError("pair field scores is not a map of numbers")
         return pair
 
 
@@ -232,17 +237,15 @@ class CueBigramLM(LanguageModel):
         vocab: Sequence[str],
         table: Mapping[tuple[Optional[str], str], Mapping[str, float]],
         cues: Iterable[str] = (),
-        smoothing: float = 0.01,
     ):
         self._vocab = tuple(dict.fromkeys(vocab))
         if not self._vocab:
             raise ConfigurationError("vocabulary must be non-empty")
         self._ids = {w: i for i, w in enumerate(self._vocab)}
         self._cues = frozenset(cues)
-        self._smoothing = float(smoothing)
         self._table: dict[tuple[Optional[str], str], np.ndarray] = {}
         for (cue, prev), weights in table.items():
-            row = np.full(len(self._vocab), self._smoothing, dtype=float)
+            row = np.full(len(self._vocab), BIGRAM_SMOOTHING, dtype=float)
             for token, weight in weights.items():
                 if token not in self._ids:
                     raise ConfigurationError(f"table token {token!r} not in vocabulary")
@@ -256,7 +259,6 @@ class CueBigramLM(LanguageModel):
         cls,
         sentences: Iterable[str],
         cues: Iterable[str] = (),
-        smoothing: float = 0.01,
     ) -> "CueBigramLM":
         """Train a cue-free bigram table from whitespace-tokenized text.
 
@@ -280,7 +282,7 @@ class CueBigramLM(LanguageModel):
         table = {(None, prev): dict(nxts) for prev, nxts in counts.items()}
         # "" cannot be a real token; it keys the start-of-sentence row
         table[(None, "")] = dict(starts)
-        return cls(sorted(vocab), table, cues=cues, smoothing=smoothing)
+        return cls(sorted(vocab), table, cues=cues)
 
     def vocabulary(self) -> Sequence[str]:
         return self._vocab
@@ -299,13 +301,13 @@ class CueBigramLM(LanguageModel):
         return self._uniform
 
 
-def select_terms(source: str, problem_list: str, max_terms: int = MAX_REQUIRED_TERMS) -> list[str]:
+def select_terms(source: str, problem_list: str) -> list[str]:
     """Terms shared between a source sentence and its problem list.
 
     A term is a maximal contiguous word n-gram of the source that also
     occurs contiguously (case-insensitive, punctuation-insensitive) within
     one line of the problem list. Longest matches win, overlapping shorter
-    ones are dropped, and at most ``max_terms`` survive. Surfaces keep the
+    ones are dropped, and at most ``MAX_REQUIRED_TERMS`` survive. Surfaces keep the
     source's original casing.
     """
     src_words = _WORD_RE.findall(source)
@@ -326,7 +328,7 @@ def select_terms(source: str, problem_list: str, max_terms: int = MAX_REQUIRED_T
             if tuple(src_norm[i : i + n]) in ref_grams:
                 terms.append(" ".join(src_words[i : i + n]))
                 taken.update(positions)
-                if len(terms) == max_terms:
+                if len(terms) == MAX_REQUIRED_TERMS:
                     return terms
     return terms
 
@@ -432,7 +434,7 @@ def generate(
             choice = int(rng.choice(len(vocab), p=probs))
         token = vocab[choice]
         emitted.append(token)
-        if token.endswith(cfg.stop_punctuation):
+        if token.endswith(STOP_PUNCTUATION):
             break
     return " ".join(emitted)
 

@@ -13,9 +13,9 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, get_args, get_type_hints
 
 from . import augment as aug
 from . import corpus as corpus_mod
@@ -24,6 +24,7 @@ from . import filtering
 from . import rouge
 from .annotation import I2B2_CHANNEL, UMLS_CHANNEL, StandoffIndex, load_dictionary
 from .errors import ConfigurationError, DataError, NotesumError, ParseError
+from .jsonl import is_number
 from .masking import MaskPolicyConfig
 
 log = logging.getLogger("notesum")
@@ -36,71 +37,85 @@ EXIT_INTERNAL = 3
 
 @dataclass
 class PipelineConfig:
-    """Merged configuration for every subcommand (defaults < file < flags)."""
+    """The CLI's own settings and one built config per stage. The config
+    keys are the CLI's fields and each stage config's fields; ``seed``
+    reaches every stage config that has one."""
 
-    seed: int = 0
     workers: int = 1
-    # masking
-    p_umls: float = 0.7
-    p_i2b2: float = 0.3
-    p_sentence: float = 0.15
-    sentinel_format: str = "<extra_id_{i}>"
-    # annotation
-    threshold: float = 0.7
-    max_window: int = 6
-    # generation
-    max_output_tokens: int = 40
-    lam: float = 1.0
-    greedy: bool = True
-    top_k: Optional[int] = None
-    # filtering
-    keep_fraction: float = 0.15
-    weights: dict = field(default_factory=lambda: {"embedding": 0.5, "trigram": 0.5})
     embedder: str = "onehot"
-    # assembly
-    mode: str = "aso"
-    target_size: int = 1000
+    mode: str = dataset_mod.CompositionMode.ASO.value
+    target_size: int = dataset_mod.DEFAULT_TARGET_SIZE
     separator: Optional[str] = None
-    # paths
     umls_dict: Optional[str] = None
     i2b2_source: Optional[str] = None
     i2b2_format: str = "auto"
     templates: Optional[str] = None
+    mask: MaskPolicyConfig = field(default_factory=MaskPolicyConfig)
+    annotation: corpus_mod.AnnotationConfig = field(default_factory=corpus_mod.AnnotationConfig)
+    generation: aug.GenerationConfig = field(default_factory=aug.GenerationConfig)
+    filter: filtering.FilterConfig = field(default_factory=filtering.FilterConfig)
 
-    def mask_config(self) -> MaskPolicyConfig:
-        return MaskPolicyConfig(
-            p_umls=self.p_umls,
-            p_i2b2=self.p_i2b2,
-            p_sentence=self.p_sentence,
-            seed=self.seed,
-            sentinel_format=self.sentinel_format,
-        )
-
-    def annotation_config(self) -> corpus_mod.AnnotationConfig:
-        return corpus_mod.AnnotationConfig(
-            threshold=self.threshold, max_window=self.max_window
-        )
-
-    def generation_config(self) -> aug.GenerationConfig:
-        return aug.GenerationConfig(
-            max_output_tokens=self.max_output_tokens,
-            lam=self.lam,
-            greedy=self.greedy,
-            top_k=self.top_k,
-            seed=self.seed,
-        )
-
-    def filter_config(self) -> filtering.FilterConfig:
-        return filtering.FilterConfig(
-            keep_fraction=self.keep_fraction, weights=self.weights
-        )
-
-    def composition_mode(self) -> dataset_mod.CompositionMode:
-        return dataset_mod.CompositionMode(self.mode)
+    def __post_init__(self):
+        problems = []
+        for name in ("workers", "target_size"):
+            if getattr(self, name) < 1:
+                problems.append(f"{name}: must be >= 1, got {getattr(self, name)}")
+        if self.mode not in {m.value for m in dataset_mod.CompositionMode}:
+            problems.append(f"mode: must be 'a' or 'aso', got {self.mode!r}")
+        if self.i2b2_format not in I2B2_FORMATS:
+            problems.append(
+                f"i2b2_format: must be auto, dict or standoff, got {self.i2b2_format!r}"
+            )
+        if problems:
+            raise ConfigurationError(*problems)
 
 
-_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
 I2B2_FORMATS = ("auto", "dict", "standoff")
+# The stage configs are the fields built by a factory; problems are
+# reported in their order.
+_STAGES = {
+    f.name: f.default_factory for f in fields(PipelineConfig) if f.default_factory is not MISSING
+}
+# Every config key and the type annotated on its field.
+KEY_TYPES = {
+    key: hint
+    for config in (PipelineConfig, *_STAGES.values())
+    for key, hint in get_type_hints(config).items()
+    if key not in _STAGES
+}
+# What a config value of each annotated type must be, as JSON.
+_JSON_TYPES = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (is_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _type_problem(key: str, value) -> Optional[str]:
+    """``key: must be ...`` if value lacks the JSON type of the key's field.
+    ``Optional`` fields also take null; FilterConfig checks its ``weights``
+    map itself."""
+    hint = KEY_TYPES[key]
+    optional = type(None) in get_args(hint)
+    fits, wanted = _JSON_TYPES.get(get_args(hint)[0] if optional else hint, (None, None))
+    if fits is None or fits(value) or (optional and value is None):
+        return None
+    return f"{key}: must be {wanted}{' or null' if optional else ''}, got {value!r}"
+
+
+def _build(config, values: Mapping, mistyped: Mapping, errors: list):
+    """``config`` built from the keys it owns, or None after adding its
+    problems to ``errors``. A config that owns a mistyped key is not
+    built: its checks need the types."""
+    owned = {f.name: values[f.name] for f in fields(config) if f.name in values}
+    if owned.keys() & mistyped.keys():
+        return None
+    try:
+        return config(**owned)
+    except ConfigurationError as exc:
+        errors.extend(exc.problems)
+        return None
 
 
 def parse_config(
@@ -110,10 +125,11 @@ def parse_config(
 ) -> PipelineConfig:
     """Merge defaults, an optional JSON config file, and flag overrides.
 
-    Every validation problem is collected and reported in one
-    ConfigurationError, one line per offending field.
+    Each stage config and the CLI's own settings are built once; every
+    problem is collected and reported in one ConfigurationError, one line
+    per offending field.
     """
-    values = asdict(PipelineConfig())
+    values: dict = {}
     errors: list[str] = []
     if config_path is not None:
         try:
@@ -126,45 +142,27 @@ def parse_config(
         if not isinstance(file_values, dict):
             raise ConfigurationError("config file must hold a JSON object")
         for key, value in file_values.items():
-            if key not in _CONFIG_KEYS:
+            if key not in KEY_TYPES:
                 errors.append(f"{key}: unknown config key")
             else:
                 values[key] = value
     if flags:
         for key, value in flags.items():
-            if key in _CONFIG_KEYS and value is not None:
+            if key in KEY_TYPES and value is not None:
                 values[key] = value
-    cfg = PipelineConfig(**values)
-    # Each stage config checks the fields it owns; only the CLI's own
-    # settings are checked here.
-    for stage_config in (
-        cfg.mask_config,
-        cfg.annotation_config,
-        cfg.generation_config,
-        cfg.filter_config,
-    ):
-        try:
-            stage_config()
-        except ConfigurationError as exc:
-            errors.extend(exc.problems)
-    for name in ("workers", "target_size"):
-        if getattr(cfg, name) < 1:
-            errors.append(f"{name}: must be >= 1, got {getattr(cfg, name)}")
-    if cfg.mode not in {m.value for m in dataset_mod.CompositionMode}:
-        errors.append(f"mode: must be 'a' or 'aso', got {cfg.mode!r}")
-    if cfg.i2b2_format not in I2B2_FORMATS:
-        errors.append(
-            f"i2b2_format: must be auto, dict or standoff, got {cfg.i2b2_format!r}"
-        )
+    mistyped = {k: p for k, v in values.items() if (p := _type_problem(k, v))}
+    errors.extend(mistyped.values())
+    stages = {name: _build(config, values, mistyped, errors) for name, config in _STAGES.items()}
+    cfg = _build(PipelineConfig, values, mistyped, errors)
     for name in required_paths:
-        value = getattr(cfg, name)
+        value = values.get(name)
         if value is None:
             errors.append(f"{name}: required path is missing")
-        elif not Path(value).exists():
+        elif name not in mistyped and not Path(value).exists():
             errors.append(f"{name}: path does not exist: {value}")
     if errors:
         raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(errors))
-    return cfg
+    return replace(cfg, **stages)
 
 
 def _parse_weights(text: str) -> dict:
@@ -219,13 +217,7 @@ def cmd_build_pretrain(args: argparse.Namespace) -> int:
     stats = corpus_mod.CorpusStats()
     notes = _read_all_notes(args.input, stats=stats)
     examples, stats = corpus_mod.build_pretrain_corpus(
-        notes,
-        umls,
-        i2b2,
-        cfg.mask_config(),
-        cfg.annotation_config(),
-        stats=stats,
-        workers=cfg.workers,
+        notes, umls, i2b2, cfg.mask, cfg.annotation, stats=stats, workers=cfg.workers
     )
     if args.corpus is None:
         for _ in examples:
@@ -255,7 +247,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     )
     texts = [n.assessment or "" for n in notes] + [n.summary or "" for n in notes]
     lm = aug.CueBigramLM.from_corpus(t for t in texts if t)
-    pairs = aug.augment_notes(notes, lm, templates, cfg.generation_config())
+    pairs = aug.augment_notes(notes, lm, templates, cfg.generation)
     count = aug.write_pairs(pairs, args.out)
     log.info("wrote %d candidate pairs to %s", count, args.out)
     return EXIT_OK
@@ -263,7 +255,6 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     cfg = parse_config(vars(args), args.config)
-    fcfg = cfg.filter_config()
     embedder = filtering.make_embedder(cfg.embedder)
     scorers = {
         "embedding": filtering.EmbeddingScorer(embedder),
@@ -273,12 +264,12 @@ def cmd_filter(args: argparse.Namespace) -> int:
     scored = []
     for pair in pairs:
         pair.scores = filtering.score_pair(
-            pair.generated, pair.source, scorers, fcfg.weights
+            pair.generated, pair.source, scorers, cfg.filter.weights
         )
         scored.append((pair, pair.scores["combined"]))
-    kept = filtering.filter_top_fraction(scored, fcfg.keep_fraction)
+    kept = filtering.filter_top_fraction(scored, cfg.filter.keep_fraction)
     count = aug.write_pairs(kept, args.out)
-    log.info("kept %d of %d pairs (%s)", count, len(pairs), fcfg.keep_fraction)
+    log.info("kept %d of %d pairs (%s)", count, len(pairs), cfg.filter.keep_fraction)
     return EXIT_OK
 
 
@@ -290,7 +281,7 @@ def cmd_assemble(args: argparse.Namespace) -> int:
         notes,
         augmented,
         target_size=cfg.target_size,
-        mode=cfg.composition_mode(),
+        mode=dataset_mod.CompositionMode(cfg.mode),
         separator=cfg.separator,
     )
     count = dataset_mod.write_instances(instances, args.out)
@@ -356,26 +347,22 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=int, default=None, help="global seed")
-    parser.add_argument("--workers", type=int, default=None, help="worker processes")
+    parser.add_argument("--seed", type=int, help="global seed")
+    parser.add_argument("--workers", type=int, help="worker processes")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
 
 
 def _add_pretrain_args(parser: argparse.ArgumentParser):
     parser.add_argument("--input", required=True, help="notes file or directory (JSONL)")
-    parser.add_argument("--umls-dict", dest="umls_dict", default=None,
-                        help="term file, one per line")
-    parser.add_argument("--i2b2-source", dest="i2b2_source", default=None,
-                        help="second channel: term file or standoff TSV")
-    parser.add_argument("--i2b2-format", dest="i2b2_format", choices=I2B2_FORMATS,
-                        default=None)
-    parser.add_argument("--p-umls", dest="p_umls", type=float, default=None)
-    parser.add_argument("--p-i2b2", dest="p_i2b2", type=float, default=None)
-    parser.add_argument("--p-sentence", dest="p_sentence", type=float, default=None)
-    parser.add_argument("--sentinel-format", dest="sentinel_format", default=None)
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="matcher similarity threshold")
-    parser.add_argument("--max-window", dest="max_window", type=int, default=None)
+    parser.add_argument("--umls-dict", help="term file, one per line")
+    parser.add_argument("--i2b2-source", help="second channel: term file or standoff TSV")
+    parser.add_argument("--i2b2-format", choices=I2B2_FORMATS)
+    parser.add_argument("--p-umls", type=float)
+    parser.add_argument("--p-i2b2", type=float)
+    parser.add_argument("--p-sentence", type=float)
+    parser.add_argument("--sentinel-format")
+    parser.add_argument("--threshold", type=float, help="matcher similarity threshold")
+    parser.add_argument("--max-window", type=int)
     _add_common(parser)
     parser.set_defaults(func=cmd_build_pretrain)
 
@@ -387,31 +374,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-pretrain", help="mask notes into a pre-training corpus")
     _add_pretrain_args(p)
     p.add_argument("--out", dest="corpus", required=True, help="output corpus (JSONL)")
-    p.add_argument("--stats", dest="stats_json", default=None, help="write stats JSON here")
+    p.add_argument("--stats", dest="stats_json", help="write stats JSON here")
 
     p = sub.add_parser("stats", help="build-pretrain's statistics without writing a corpus")
     _add_pretrain_args(p)
-    p.add_argument("--out", dest="stats_json", default=None, help="also write stats JSON here")
+    p.add_argument("--out", dest="stats_json", help="also write stats JSON here")
     p.set_defaults(corpus=None)
 
     p = sub.add_parser("augment", help="generate paraphrase candidates")
     p.add_argument("--train", required=True, help="section notes (JSONL)")
-    p.add_argument("--templates", default=None, help="template directory overriding defaults")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="self-debias strength")
-    p.add_argument("--max-out", dest="max_output_tokens", type=int, default=None)
-    p.add_argument("--sampling", dest="greedy", action="store_const", const=False, default=None,
+    p.add_argument("--templates", help="template directory overriding defaults")
+    p.add_argument("--lambda", dest="lam", type=float, help="self-debias strength")
+    p.add_argument("--max-out", dest="max_output_tokens", type=int)
+    p.add_argument("--sampling", dest="greedy", action="store_const", const=False,
                    help="sample instead of greedy decoding")
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
+    p.add_argument("--top-k", type=int)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("filter", help="keep the best-scoring generated pairs")
     p.add_argument("--in", dest="infile", required=True, help="candidate pairs (JSONL)")
-    p.add_argument("--keep", dest="keep_fraction", type=float, default=None)
-    p.add_argument("--embedder", default=None,
-                   help="onehot | hashed-random[:seed] | file:<path>")
-    p.add_argument("--weights", type=_parse_weights, default=None,
+    p.add_argument("--keep", dest="keep_fraction", type=float)
+    p.add_argument("--embedder",
+                   help="onehot | hashed-random[:seed] | hashed-random(seed) | file:<path>")
+    p.add_argument("--weights", type=_parse_weights,
                    help="scorer weights, e.g. embedding=0.5,trigram=0.5")
     p.add_argument("--out", required=True)
     _add_common(p)
@@ -419,10 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assemble", help="build the fine-tuning dataset")
     p.add_argument("--notes", required=True, help="section notes (JSONL)")
-    p.add_argument("--augmented", default=None, help="kept pairs (JSONL)")
-    p.add_argument("--mode", choices=("a", "aso"), default=None)
-    p.add_argument("--target-size", dest="target_size", type=int, default=None)
-    p.add_argument("--separator", default=None, help="plain section separator")
+    p.add_argument("--augmented", help="kept pairs (JSONL)")
+    p.add_argument("--mode", choices=[m.value for m in dataset_mod.CompositionMode])
+    p.add_argument("--target-size", type=int)
+    p.add_argument("--separator", help="plain section separator")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_assemble)
@@ -431,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--stem", action="store_true", help="apply light stemming")
-    p.add_argument("--out", default=None, help="also write scores JSON here")
+    p.add_argument("--out", help="also write scores JSON here")
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
     return parser

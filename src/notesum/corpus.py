@@ -24,7 +24,8 @@ from .annotation import (
 )
 from .errors import ConfigurationError, DataError, ParseError
 from .jsonl import read_jsonl, write_jsonl
-from .masking import MaskedExample, MaskPolicyConfig, apply_mask, choose_mask_source
+from .masking import DEFAULT_SENTINEL_FORMAT, MaskedExample, MaskPolicyConfig
+from .masking import apply_mask, choose_mask_source
 from .seeding import substream
 from .text import segment_sentences
 
@@ -250,7 +251,7 @@ def write_corpus(examples: Iterable[MaskedExample], path: Union[str, Path]) -> i
 
 def read_corpus(
     path: Union[str, Path],
-    sentinel_format: str = "<extra_id_{i}>",
+    sentinel_format: str = DEFAULT_SENTINEL_FORMAT,
 ) -> Iterator[MaskedExample]:
     """Read a corpus written by :func:`write_corpus`; lossless round trip.
 

@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, ParseError
+from .jsonl import is_number
 from .text import trigram_jaccard
 
 DEFAULT_KEEP_FRACTION = 0.15
@@ -203,7 +204,8 @@ class FilterConfig:
             problems.append(
                 f"keep_fraction: must be in (0, 1], got {self.keep_fraction}"
             )
-        if not isinstance(self.weights, Mapping) or not self.weights:
+        weights = self.weights
+        if not (isinstance(weights, Mapping) and weights and all(map(is_number, weights.values()))):
             problems.append(
                 f"weights: must be a non-empty scorer->weight map, got {self.weights!r}"
             )

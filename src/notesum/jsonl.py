@@ -49,6 +49,11 @@ def read_jsonl(
             yield item
 
 
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def write_jsonl(records: Iterable[dict], path: Union[str, Path]) -> int:
     """Write one JSON object per line, non-ASCII kept as is; returns the count."""
     count = 0

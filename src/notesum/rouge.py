@@ -11,6 +11,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
+PERCENT = 100.0
+
 
 class PRF(NamedTuple):
     precision: float
@@ -147,13 +149,13 @@ def evaluate_corpus(
     return RougeScore(r1=prf("r1"), r2=prf("r2"), rl=prf("rl"))
 
 
-def format_table(score: RougeScore, scale: float = 100.0) -> str:
-    """Render the R-1/R-2/R-L x R-F1/R-P/R-R grid as fixed-width text."""
+def format_table(score: RougeScore) -> str:
+    """Render the R-1/R-2/R-L x R-F1/R-P/R-R grid, in percent, as fixed-width text."""
     header = f"{'':6}{'R-1':>8}{'R-2':>8}{'R-L':>8}"
     rows = []
     for label, component in (("R-F1", "f1"), ("R-P", "precision"), ("R-R", "recall")):
         cells = [
-            f"{getattr(getattr(score, metric), component) * scale:8.2f}"
+            f"{getattr(getattr(score, metric), component) * PERCENT:8.2f}"
             for metric in ("r1", "r2", "rl")
         ]
         rows.append(f"{label:6}" + "".join(cells))

@@ -7,15 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from notesum.cli import (
-    EXIT_CONFIG,
-    EXIT_DATA,
-    EXIT_OK,
-    PipelineConfig,
-    main,
-    parse_config,
-)
+from notesum.augment import GenerationConfig
+from notesum.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, KEY_TYPES, main, parse_config
+from notesum.corpus import AnnotationConfig
+from notesum.dataset import DEFAULT_TARGET_SIZE
 from notesum.errors import ConfigurationError
+from notesum.filtering import FilterConfig
+from notesum.masking import MaskPolicyConfig
 
 from conftest import I2B2_TERMS, UMLS_TERMS, make_note_text, write_lines, write_note_file
 
@@ -26,20 +24,20 @@ from conftest import I2B2_TERMS, UMLS_TERMS, make_note_text, write_lines, write_
 
 def test_defaults_carry_the_published_constants():
     cfg = parse_config()
-    assert cfg.p_umls == 0.7
-    assert cfg.p_i2b2 == 0.3
-    assert cfg.p_sentence == 0.15
-    assert cfg.keep_fraction == 0.15
-    assert cfg.max_output_tokens == 40
-    assert cfg.sentinel_format == "<extra_id_{i}>"
+    assert cfg.mask.p_umls == 0.7
+    assert cfg.mask.p_i2b2 == 0.3
+    assert cfg.mask.p_sentence == 0.15
+    assert cfg.filter.keep_fraction == 0.15
+    assert cfg.generation.max_output_tokens == 40
+    assert cfg.mask.sentinel_format == "<extra_id_{i}>"
 
 
 def test_flags_override_config_file(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"seed": 5, "p_sentence": 0.2}), encoding="utf-8")
     cfg = parse_config({"p_sentence": 0.1}, str(config))
-    assert cfg.seed == 5          # from file
-    assert cfg.p_sentence == 0.1  # flag wins
+    assert cfg.mask.seed == cfg.generation.seed == 5  # from file
+    assert cfg.mask.p_sentence == 0.1                 # flag wins
 
 
 def test_all_validation_errors_reported_at_once(tmp_path):
@@ -82,11 +80,93 @@ def test_missing_required_path_is_reported():
 
 
 def test_pipeline_config_builds_module_configs():
-    cfg = PipelineConfig()
-    assert cfg.mask_config().p_umls == 0.7
-    assert cfg.generation_config().max_output_tokens == 40
-    assert cfg.filter_config().keep_fraction == 0.15
-    assert cfg.composition_mode().value == "aso"
+    cfg = parse_config()
+    assert cfg.mask == MaskPolicyConfig()
+    assert cfg.annotation == AnnotationConfig()
+    assert cfg.generation == GenerationConfig()
+    assert cfg.filter == FilterConfig()
+    assert cfg.mode == "aso"
+    assert cfg.target_size == DEFAULT_TARGET_SIZE
+
+
+# key: (a value of the wrong JSON type for it, what the key must be)
+WRONG_TYPES = {
+    "seed": (1.5, "an integer"),
+    "workers": ("2", "an integer"),
+    "p_umls": ("0.7", "a number"),
+    "p_i2b2": (True, "a number"),
+    "p_sentence": (None, "a number"),
+    "sentinel_format": (5, "a string"),
+    "threshold": ("x", "a number"),
+    "max_window": ("6", "an integer"),
+    "max_output_tokens": (True, "an integer"),
+    "lam": ("1", "a number"),
+    "greedy": ("no", "true or false"),
+    "top_k": (2.5, "an integer or null"),
+    "keep_fraction": ([0.15], "a number"),
+    "weights": ({"embedding": "a", "trigram": 0.5}, "a non-empty scorer->weight map"),
+    "embedder": (1, "a string"),
+    "mode": (2, "a string"),
+    "target_size": (10.0, "an integer"),
+    "separator": (3, "a string or null"),
+    "umls_dict": (5, "a string or null"),
+    "i2b2_source": (["a"], "a string or null"),
+    "i2b2_format": (None, "a string"),
+    "templates": ({}, "a string or null"),
+}
+
+
+def test_config_keys_are_the_stage_fields_and_the_cli_settings():
+    assert set(KEY_TYPES) == set(WRONG_TYPES)
+    assert len(KEY_TYPES) == 22
+
+
+def test_each_config_key_reaches_its_config(tmp_path):
+    # a non-default value for every key, and where it must arrive
+    expected = {
+        "seed": (9, ["mask", "generation"]),
+        "p_umls": (0.6, ["mask"]),
+        "p_i2b2": (0.4, ["mask"]),
+        "p_sentence": (0.25, ["mask"]),
+        "sentinel_format": ("[M{i}]", ["mask"]),
+        "threshold": (0.8, ["annotation"]),
+        "max_window": (4, ["annotation"]),
+        "max_output_tokens": (12, ["generation"]),
+        "lam": (0.5, ["generation"]),
+        "greedy": (False, ["generation"]),
+        "top_k": (3, ["generation"]),
+        "keep_fraction": (0.3, ["filter"]),
+        "weights": ({"embedding": 0.25, "trigram": 0.75}, ["filter"]),
+        "workers": (2, [None]),
+        "embedder": ("hashed-random:1", [None]),
+        "mode": ("a", [None]),
+        "target_size": (20, [None]),
+        "separator": (" | ", [None]),
+        "umls_dict": ("u.txt", [None]),
+        "i2b2_source": ("i.txt", [None]),
+        "i2b2_format": ("dict", [None]),
+        "templates": ("tpl", [None]),
+    }
+    assert set(expected) == set(KEY_TYPES)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({k: v for k, (v, _) in expected.items()}), encoding="utf-8")
+    cfg = parse_config(None, str(config))
+    for key, (value, homes) in expected.items():
+        for home in homes:
+            target = cfg if home is None else getattr(cfg, home)
+            assert getattr(target, key) == value, (key, home)
+
+
+@pytest.mark.parametrize("key", sorted(WRONG_TYPES))
+def test_wrong_json_type_exits_config_naming_the_key(tmp_path, caplog, key):
+    config = tmp_path / "cfg.json"
+    value, wanted = WRONG_TYPES[key]
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"source": "a b", "generated": "a c", "label": 1}) + "\n")
+    argv = ["filter", "--config", str(config), "--in", str(pairs), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert f"\n  {key}: must be {wanted}, got {value!r}" in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +385,12 @@ MALFORMED_RECORD_CASES = {
         '{"doc_id": "s1", "source": "pt on cpap .", "generated": 7, "label": 1}',
         ["assemble", "--notes", "{d}/notes.jsonl", "--augmented", "{f}", "--out", "{d}/o"],
     ),
+    "assemble-pair-scores": (
+        PAIR,
+        '{"doc_id": "s1", "source": "pt on cpap .", "generated": "on cpap .", "label": 1, '
+        '"scores": {"combined": "x"}}',
+        ["assemble", "--notes", "{d}/notes.jsonl", "--augmented", "{f}", "--out", "{d}/o"],
+    ),
     "filter": (
         PAIR,
         '{"source": "a", "generated": "b", "label": "x"}',
@@ -313,6 +399,11 @@ MALFORMED_RECORD_CASES = {
     "filter-pair-text": (
         PAIR,
         '{"source": 5, "generated": "b", "label": 1}',
+        ["filter", "--in", "{f}", "--out", "{d}/o"],
+    ),
+    "filter-pair-terms": (
+        PAIR,
+        '{"source": "a", "generated": "b", "label": 1, "required_terms": "chest pain"}',
         ["filter", "--in", "{f}", "--out", "{d}/o"],
     ),
     "evaluate": ({"text": "the cat sat"}, '{"text": null}', ["evaluate", "--pred", "{f}", "--ref", "{f}"]),
