@@ -3,8 +3,9 @@
 Two annotation channels feed the masking policy: a UMLS-style vocabulary
 matched by character-trigram Jaccard over token windows, and a second
 channel that is either another dictionary or a standoff file of
-precomputed NER spans. Matching is indexed (feature -> entries, plus a
-size filter) so a scan is sub-linear in dictionary size.
+precomputed NER spans. Similarity is the Jaccard of character-trigram
+multisets; an index from each (trigram, occurrence) key to its entries
+gives a window's exact overlap with every entry in one numpy count.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import ConfigurationError, ParseError
 from .text import Token, char_trigrams, normalize, tokenize
@@ -67,13 +70,14 @@ class AnnotatedSentence:
 
 
 class TermDictionary:
-    """Normalized term vocabulary with a trigram inverted index.
+    """Normalized term vocabulary with an exact trigram-multiset index.
 
     Entries are deduplicated normalized strings; normalization (lowercasing,
-    whitespace collapse) happens exactly once, at load time. The index
-    maps each trigram feature to the entries containing it, and entries
-    carry their feature counts so a candidate outside the Jaccard size
-    bounds for a window is rejected without any intersection work.
+    whitespace collapse) happens exactly once, at load time. The index maps
+    each key ``(gram, k)``, the k-th occurrence of a trigram, to the entries
+    holding at least k copies of that gram. A window's multiset overlap with
+    an entry is then the number of the window's keys whose posting list
+    holds the entry. Posting lists become int arrays on their first lookup.
     """
 
     def __init__(self, terms: Sequence[str], name: str):
@@ -82,75 +86,40 @@ class TermDictionary:
             raise ConfigurationError(f"dictionary {name!r} has no entries")
         self.name = name
         self.entry_texts: tuple[str, ...] = tuple(entries)
-        self._features: list[dict[str, int]] = [
-            char_trigrams(t) for t in self.entry_texts
-        ]
-        self._sizes: list[int] = [sum(f.values()) for f in self._features]
         self._exact: dict[str, int] = {t: i for i, t in enumerate(self.entry_texts)}
-        index: dict[str, tuple[int, ...]] = {}
-        scratch: dict[str, list[int]] = defaultdict(list)
-        for i, feats in enumerate(self._features):
-            for gram in feats:
-                scratch[gram].append(i)
-        for gram, ids in scratch.items():
-            index[gram] = tuple(ids)
-        self._index = index
-        self.min_size = min(self._sizes)
-        self.max_size = max(self._sizes)
-        # Window junctions recur constantly in a large corpus; cache their
-        # candidate sets, bounded so real-scale runs cannot grow unchecked.
-        self._part_cache: dict[str, tuple[int, ...]] = {}
-
-    _PART_CACHE_LIMIT = 1_000_000
+        # Nearly every gram occurs once per entry: collect those postings by
+        # gram and key them (gram, 1) at the end, so the build hashes few tuples.
+        firsts: dict[str, list[int]] = defaultdict(list)
+        repeats: dict[tuple[str, int], list[int]] = defaultdict(list)
+        for i, text in enumerate(self.entry_texts):
+            for gram, count in char_trigrams(text).items():
+                firsts[gram].append(i)
+                if count > 1:
+                    for k in range(2, count + 1):
+                        repeats[gram, k].append(i)
+        self._index: dict[tuple[str, int], Union[list[int], np.ndarray]] = {
+            (gram, 1): ids for gram, ids in firsts.items()
+        }
+        self._index.update(repeats)
+        self._sizes = np.array([_gram_count(t) for t in self.entry_texts])
 
     def __len__(self) -> int:
         return len(self.entry_texts)
 
-    def candidates_for_part(self, part: str) -> tuple[int, ...]:
-        """Entries sharing at least one trigram feature with ``part``."""
-        cached = self._part_cache.get(part)
-        if cached is None:
-            index_get = self._index.get
-            ids: set[int] = set()
-            for gram in char_trigrams(part):
-                hit = index_get(gram)
-                if hit:
-                    ids.update(hit)
-            cached = tuple(ids)
-            if len(self._part_cache) >= self._PART_CACHE_LIMIT:
-                self._part_cache.clear()
-            self._part_cache[part] = cached
-        return cached
-
-    def best_among(self, window: str, candidates: set[int], threshold: float) -> float:
-        """Best Jaccard of ``window`` against the candidate entries, or 0.0
-        when nothing reaches ``threshold``."""
-        feats = char_trigrams(window)
-        size = sum(feats.values())
-        lo = threshold * size
-        hi = size / threshold
-        best = 0.0
-        sizes = self._sizes
-        features = self._features
-        for i in candidates:
-            other_size = sizes[i]
-            if other_size < lo or other_size > hi:
-                continue
-            other = features[i]
-            if len(other) < len(feats):
-                small, big = other, feats
-            else:
-                small, big = feats, other
-            inter = 0
-            for gram, count in small.items():
-                other_count = big.get(gram)
-                if other_count:
-                    inter += count if count < other_count else other_count
-            union = size + other_size - inter
-            sim = inter / union if union else 0.0
-            if sim > best:
-                best = sim
+    def best_among(self, window: str, postings: np.ndarray, threshold: float) -> float:
+        """Best Jaccard of ``window`` against every entry, or 0.0 when nothing
+        reaches ``threshold``. ``postings`` concatenates the posting lists of
+        the window's indexed keys, so each entry occurs in it exactly as often
+        as it shares a trigram with the window."""
+        overlap = np.bincount(postings)
+        sims = overlap / (_gram_count(window) + self._sizes[: len(overlap)] - overlap)
+        best = float(sims.max())
         return best if best >= threshold else 0.0
+
+
+def _gram_count(text: str) -> int:
+    """Size of the trigram multiset of ``text`` (see ``char_trigrams``)."""
+    return len(text) - 2 if len(text) >= 3 else 1
 
 
 def load_dictionary(path: Union[str, Path], channel: str) -> TermDictionary:
@@ -188,10 +157,16 @@ def annotate(
     """Scan every token window of length 1..max_window against the
     dictionary and keep windows scoring >= threshold, overlap-resolved.
 
-    Windows grow incrementally per start position: each extension probes
-    the inverted index only for the trigrams the junction adds, and the
-    Jaccard computation runs only for windows that share at least one
-    feature with some entry and sit inside the global size bounds.
+    Windows grow one token at a time per start position. A window that is
+    itself an entry scores 1.0 at once, and at threshold 1.0 that is the
+    only way to match. Below 1.0 each window's trigram keys are kept: an
+    extension adds only the keys of the grams it introduces, the two
+    junction grams and the ``" " + token`` grams found once per token. A
+    1-2 character window's one gram is the whole string, which the next
+    extension drops, so that extension starts its keys afresh. Each key
+    adds at most 1 to the overlap with any entry, so a window with fewer
+    indexed keys than ``threshold`` times its gram count cannot match and
+    is skipped; ``best_among`` scores the rest against every entry.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
@@ -201,36 +176,38 @@ def annotate(
         return []
     words = [t.text.lower() for t in tokens]
     n = len(words)
-    size_lo = threshold * dictionary.min_size
-    size_hi = dictionary.max_size / threshold
     approximate = threshold < 1.0
-    candidates_for_part = dictionary.candidates_for_part
     exact_entries = dictionary._exact
+    index = dictionary._index
+    tails: dict[str, list[str]] = {}
+    if approximate:
+        for w in words:
+            grams = char_trigrams(" " + w) if len(w) >= 2 else {}
+            tails[w] = [g for g, c in grams.items() if (g, 1) in index for _ in range(c)]
     spans: list[EntitySpan] = []
     for i in range(n):
         window = ""
-        cand: set[int] = set()
         for j in range(i + 1, min(i + max_window, n) + 1):
             tok = words[j - 1]
-            if not window:
-                window = tok
-                new_part = tok
-            else:
-                # Junction grams: every trigram the extension introduces
-                # starts within the last two chars of the old window.
-                new_part = window[-2:] + " " + tok
-                window = window + " " + tok
+            restart = len(window) < 3
+            if approximate and not restart:
+                new_grams = [window[-2:] + " ", window[-1] + " " + tok[0], *tails[tok]]
+            window = window + " " + tok if window else tok
+            score = 1.0 if window in exact_entries else 0.0
             if approximate:
-                part_cands = candidates_for_part(new_part)
-                if part_cands:
-                    cand.update(part_cands)
-            score = 0.0
-            if window in exact_entries:
-                score = 1.0
-            elif cand:
-                feats = len(window) - 2 if len(window) >= 3 else 1
-                if size_lo <= feats <= size_hi:
-                    score = dictionary.best_among(window, cand, threshold)
+                if restart:
+                    counts: dict[str, int] = {}
+                    hits: list[np.ndarray] = []
+                    new_grams = [g for g, c in char_trigrams(window).items() for _ in range(c)]
+                for gram in new_grams:
+                    k = counts[gram] = counts.get(gram, 0) + 1
+                    posting = index.get((gram, k))
+                    if posting is not None:
+                        if type(posting) is list:
+                            posting = index[gram, k] = np.array(posting, dtype=np.intp)
+                        hits.append(posting)
+                if score == 0.0 and len(hits) / _gram_count(window) >= threshold:
+                    score = dictionary.best_among(window, np.concatenate(hits), threshold)
             if score >= threshold:
                 surface = " ".join(t.text for t in tokens[i:j])
                 spans.append(EntitySpan(i, j, surface, dictionary.name, score))

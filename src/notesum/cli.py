@@ -348,7 +348,10 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--seed", type=int, help="global seed")
-    parser.add_argument("--workers", type=int, help="worker processes")
+    _add_verbose(parser)
+
+
+def _add_verbose(parser: argparse.ArgumentParser):
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
 
 
@@ -363,6 +366,7 @@ def _add_pretrain_args(parser: argparse.ArgumentParser):
     parser.add_argument("--sentinel-format")
     parser.add_argument("--threshold", type=float, help="matcher similarity threshold")
     parser.add_argument("--max-window", type=int)
+    parser.add_argument("--workers", type=int, help="worker processes")
     _add_common(parser)
     parser.set_defaults(func=cmd_build_pretrain)
 
@@ -419,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--stem", action="store_true", help="apply light stemming")
     p.add_argument("--out", help="also write scores JSON here")
-    _add_common(p)
+    _add_verbose(p)
     p.set_defaults(func=cmd_evaluate)
     return parser
 

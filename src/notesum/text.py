@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 _TOKEN_RE = re.compile(r"\S+")
 _SENTENCE_END_RE = re.compile(r"[.!?]+(?=\s)")
@@ -107,14 +106,3 @@ def segment_sentences(text: str) -> list[tuple[str, int, int]]:
         prev = cut
     return sentences
 
-
-def join_sentences(text: str, sentences: Iterable[tuple[str, int, int]]) -> str:
-    """Reassemble ``text`` from its segmentation (identity; used as an oracle)."""
-    parts = []
-    prev = 0
-    for sentence, start, end in sentences:
-        parts.append(text[prev:start])
-        parts.append(sentence)
-        prev = end
-    parts.append(text[prev:])
-    return "".join(parts)

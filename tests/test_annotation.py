@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter
 
@@ -175,14 +176,22 @@ def test_annotate_validates_arguments():
         annotate(tokenize("x"), d, max_window=0)
 
 
+# Repeated trigrams ("aaaa", "ababab", "abcabc") exercise the multiset
+# keys; 1-2 character tokens ("a", "ab") are single whole-string grams.
 VOCAB = ["pt", "on", "cpap", "heart", "failure", "renal", "noted", "sat",
-         "drifts", "stable", "fail", "hearts", "a", "ab"]
+         "drifts", "stable", "fail", "hearts", "a", "ab", "aaaa", "ababab",
+         "abcabc", "aa", "abab"]
+
+
+def spans_of(tokens, d, threshold, max_window):
+    return [(s.start, s.end, s.score) for s in annotate(tokens, d, threshold, max_window)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_annotate_agrees_with_bruteforce_oracle(data):
     rng = data.draw(st.randoms(use_true_random=False))
+    max_window = data.draw(st.integers(1, 6))
     entries = {
         " ".join(rng.choice(VOCAB) for _ in range(rng.randint(1, 3)))
         for _ in range(rng.randint(1, 5))
@@ -190,12 +199,49 @@ def test_annotate_agrees_with_bruteforce_oracle(data):
     d = TermDictionary(sorted(entries), UMLS_CHANNEL)
     words = [rng.choice(VOCAB) for _ in range(rng.randint(1, 10))]
     tokens = tokenize(" ".join(words))
-    for threshold in (0.6, 0.7, 1.0):
-        got = [(s.start, s.end, s.score) for s in annotate(tokens, d, threshold, 4)]
-        want = oracle_annotate(words, entries, threshold, 4)
-        assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in want]
-        for g, w in zip(got, want):
-            assert g[2] == pytest.approx(w[2], abs=1e-12)
+    for threshold in (0.5, 0.7, 1.0):
+        # exact equality: the benchmark's brute-force check compares scores exactly
+        assert spans_of(tokens, d, threshold, max_window) == oracle_annotate(
+            words, entries, threshold, max_window
+        )
+
+
+def test_annotate_agrees_with_bruteforce_oracle_on_a_large_dictionary():
+    rng = random.Random(11)
+    vocab = ["".join(rng.choice("abcde") for _ in range(rng.randint(1, 6))) for _ in range(60)]
+    entries = set()
+    while len(entries) < 300:
+        entries.add(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 3))))
+    d = TermDictionary(sorted(entries), UMLS_CHANNEL)
+    for _ in range(4):
+        words = [rng.choice(vocab) for _ in range(10)]
+        tokens = tokenize(" ".join(words))
+        for threshold in (0.5, 0.7):
+            want = oracle_annotate(words, entries, threshold, 4)
+            assert spans_of(tokens, d, threshold, 4) == want
+            assert want  # near matches are common in this vocabulary
+
+
+def test_annotate_drops_a_short_windows_whole_string_gram_when_it_grows():
+    # "a a" has the single trigram "a a" and shares nothing with "a"; a
+    # stale key for the one-character window "a" would score it 1.0
+    d = TermDictionary(["a"], UMLS_CHANNEL)
+    assert spans_of(tokenize("a a"), d, 0.5, 2) == [(0, 1, 1.0), (1, 2, 1.0)]
+
+
+def test_annotate_is_repeatable_and_survives_pickling_a_used_dictionary():
+    rng = random.Random(5)
+    entries = [" ".join(rng.choice(VOCAB) for _ in range(rng.randint(1, 3))) for _ in range(40)]
+    d = TermDictionary(entries, UMLS_CHANNEL)
+    texts = [[rng.choice(VOCAB) for _ in range(12)] for _ in range(10)]
+    sentences = [tokenize(" ".join(words)) for words in texts]
+    first = [spans_of(t, d, 0.6, 6) for t in sentences]
+    assert first == [oracle_annotate(words, set(entries), 0.6, 6) for words in texts]
+    assert any(first)
+    assert [spans_of(t, d, 0.6, 6) for t in sentences] == first
+    # worker processes receive dictionaries pickled after the parent used them
+    copy = pickle.loads(pickle.dumps(d))
+    assert [spans_of(t, copy, 0.6, 6) for t in sentences] == first
 
 
 @settings(max_examples=100, deadline=None)

@@ -373,6 +373,29 @@ def test_evaluate_mismatched_files_is_a_data_error(tmp_path):
     assert code == EXIT_DATA
 
 
+def test_evaluate_takes_no_config_or_seed(tmp_path):
+    pred = write_lines(tmp_path / "pred.txt", ["the cat sat"])
+    args = ["evaluate", "--pred", str(pred), "--ref", str(pred)]
+    assert main(args) == EXIT_OK
+    assert main(args + ["--config", str(tmp_path / "nonexistent.json")]) == EXIT_CONFIG
+    assert main(args + ["--seed", "3"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["augment", "--train", "t.jsonl", "--out", "o.jsonl"],
+        ["filter", "--in", "p.jsonl", "--out", "o.jsonl"],
+        ["assemble", "--notes", "n.jsonl", "--out", "o.jsonl"],
+        ["evaluate", "--pred", "p.txt", "--ref", "r.txt"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_workers_is_a_usage_error_outside_build_pretrain_and_stats(args, capsys):
+    assert main(args + ["--workers", "2"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 SECTION_NOTE = {"doc_id": "s1", "assessment": "pt on cpap .", "subjective": "s",
                 "objective": "o", "summary": "cpap"}
 PAIR = {"doc_id": "s1", "source": "pt on cpap .", "generated": "on cpap .", "label": 1.0}

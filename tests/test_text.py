@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from notesum.text import (
     char_trigrams,
-    join_sentences,
     normalize,
     segment_sentences,
     tokenize,
@@ -50,6 +49,19 @@ def test_matches_oracle_on_single_line_text(chunks, ending):
     text = ending.join(chunks) + ending.strip()
     got = [s for s, _, _ in segment_sentences(text)]
     assert got == _oracle_split(text)
+
+
+def join_sentences(text, sentences):
+    """Reassemble ``text`` from its segmentation: the gaps between
+    sentences come from ``text`` itself, the sentences from the triples."""
+    parts = []
+    prev = 0
+    for sentence, start, end in sentences:
+        parts.append(text[prev:start])
+        parts.append(sentence)
+        prev = end
+    parts.append(text[prev:])
+    return "".join(parts)
 
 
 @given(st.text(alphabet="aB .!?\n\t", max_size=120))
