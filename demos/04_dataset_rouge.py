@@ -4,12 +4,7 @@ score candidate summaries with the from-scratch ROUGE implementation.
 
 from notesum.augment import GeneratedPair, LabelId
 from notesum.corpus import ProgressNote
-from notesum.dataset import (
-    CompositionMode,
-    assemble_training_set,
-    compose_input,
-    truncate_tokens,
-)
+from notesum.dataset import CompositionMode, assemble_training_set, compose_input
 from notesum.rouge import evaluate_corpus, format_table
 
 notes = [
@@ -50,9 +45,6 @@ instances = assemble_training_set(notes, pairs, target_size=5, mode=CompositionM
 print(f"\nassembled {len(instances)} instances (4 originals + best augmented):")
 for inst in instances:
     print(f"  [{inst.provenance.value:9}] {inst.doc_id}: {inst.input_text.splitlines()[0][:60]}")
-
-long_input = " ".join(f"tok{i}" for i in range(600))
-print(f"\ntruncation: 600 tokens -> {len(truncate_tokens(long_input, 512).split())} tokens")
 
 predictions = ["the cat sat", "problem list unchanged"]
 references = ["the cat ate", "problem list unchanged"]

@@ -23,8 +23,8 @@ from . import dataset as dataset_mod
 from . import filtering
 from . import rouge
 from .annotation import I2B2_CHANNEL, UMLS_CHANNEL, StandoffIndex, load_dictionary
-from .errors import ConfigurationError, DataError, NotesumError, ParseError
-from .jsonl import is_number
+from .errors import ConfigurationError, DataError, NotesumError
+from .jsonl import is_number, read_jsonl
 from .masking import MaskPolicyConfig
 
 log = logging.getLogger("notesum")
@@ -62,6 +62,10 @@ class PipelineConfig:
                 problems.append(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.mode not in {m.value for m in dataset_mod.CompositionMode}:
             problems.append(f"mode: must be 'a' or 'aso', got {self.mode!r}")
+        try:
+            filtering.embedder_file(self.embedder)
+        except ConfigurationError as exc:
+            problems.extend(exc.problems)
         if self.i2b2_format not in I2B2_FORMATS:
             problems.append(
                 f"i2b2_format: must be auto, dict or standoff, got {self.i2b2_format!r}"
@@ -289,31 +293,22 @@ def cmd_assemble(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _eval_text(record: dict) -> str:
+    for key in ("text", "target", "input"):
+        if isinstance(record.get(key), str):
+            return record[key]
+    raise DataError("record has no text/target/input string")
+
+
 def _read_eval_file(path: str) -> list[str]:
-    """One text per non-blank line: the line itself, or for a JSON object
-    line its first ``text``/``target``/``input`` value, which must be text."""
-    texts = []
+    """JSON lines, each object's first ``text``/``target``/``input``
+    string, if the first non-blank line starts with ``{``; otherwise one
+    text per non-blank line."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if not line.lstrip().startswith("{"):
-                texts.append(line)
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON record: {exc}", path=path, line=lineno) from None
-            key = next((k for k in ("text", "target", "input") if k in record), None)
-            if key is None:
-                raise ParseError(
-                    "record has none of the keys text/target/input", path=path, line=lineno
-                )
-            if not isinstance(record[key], str):
-                raise ParseError(f"record's {key} value is not text", path=path, line=lineno)
-            texts.append(record[key])
-    return texts
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    if lines and lines[0].lstrip().startswith("{"):
+        return list(read_jsonl(path, _eval_text))
+    return lines
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -400,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="keep the best-scoring generated pairs")
     p.add_argument("--in", dest="infile", required=True, help="candidate pairs (JSONL)")
     p.add_argument("--keep", dest="keep_fraction", type=float)
-    p.add_argument("--embedder",
-                   help="onehot | hashed-random[:seed] | hashed-random(seed) | file:<path>")
+    p.add_argument("--embedder", help="onehot | file:<path> (word2vec text vectors)")
     p.add_argument("--weights", type=_parse_weights,
                    help="scorer weights, e.g. embedding=0.5,trigram=0.5")
     p.add_argument("--out", required=True)

@@ -3,7 +3,9 @@
 Composes model inputs from note sections (assessment alone or assessment
 + subjective + objective), attaches problem-list targets, folds accepted
 augmented paraphrases back into their source notes, and caps the set at
-a target size without ever displacing an original instance.
+a target size without ever displacing an original instance. Inputs keep
+their full length: cutting them to a model's context is left to the
+model's tokenizer.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import enum
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .augment import GeneratedPair
 from .corpus import ProgressNote
@@ -82,17 +84,6 @@ def compose_input(
             f"{assessment}\nSubjective: {subjective}\nObjective: {objective}"
         )
     return separator.join((assessment, subjective, objective))
-
-
-def truncate_tokens(text: str, max_tokens: int) -> str:
-    """First ``max_tokens`` whitespace tokens, re-joined with single spaces;
-    text already within the cap is returned unchanged."""
-    if max_tokens < 1:
-        raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
-    tokens = text.split()
-    if len(tokens) <= max_tokens:
-        return text
-    return " ".join(tokens[:max_tokens])
 
 
 def _pair_rank_score(pair: GeneratedPair) -> float:

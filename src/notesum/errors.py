@@ -46,4 +46,5 @@ class InternalError(NotesumError):
 
 
 class BackendError(NotesumError):
-    """A pluggable backend (language model, embedder) broke its interface contract."""
+    """A language model broke its next-token contract (wrong length, invalid
+    distribution)."""

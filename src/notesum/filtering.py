@@ -1,16 +1,16 @@
 """Similarity scoring and top-fraction filtering of generated pairs.
 
 Each pair is scored against its source with greedy maximum-cosine token
-matching over a pluggable embedder (the BERTScore recipe, minus the
-frozen transformer) plus an optional second scorer; the combined score
-keeps only the best ``keep_fraction`` of the candidates.
+matching (the BERTScore recipe, minus the frozen transformer) plus an
+optional second scorer; the combined score keeps only the best
+``keep_fraction`` of the candidates. Token vectors come from a word2vec
+text file, or are one-hot: a token's cosine is 1 with itself and 0 with
+any other, which is also the rule for a token the file lacks.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -26,13 +26,6 @@ DEFAULT_KEEP_FRACTION = 0.15
 Scorer = Callable[[str, str], float]
 
 
-class EmbeddingProvider(ABC):
-    """Token -> fixed-dimension vector; same token, same vector."""
-
-    @abstractmethod
-    def embed(self, token: str) -> np.ndarray: ...
-
-
 class OneHotEmbedding:
     """Exact-match embeddings: every distinct token its own basis vector.
 
@@ -42,96 +35,84 @@ class OneHotEmbedding:
     """
 
 
-Embedder = Union[EmbeddingProvider, OneHotEmbedding]
+class FileEmbedding:
+    """Word vectors in word2vec text format: ``token v1 v2 ...`` per line,
+    after an optional ``<count> <dim>`` header line.
 
-
-def _token_rng(token: str, seed: int) -> np.random.Generator:
-    digest = hashlib.sha256(f"{seed}:{token}".encode("utf-8")).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
-
-
-class HashedRandomEmbedding(EmbeddingProvider):
-    """Deterministic pseudo-random unit vectors keyed by (seed, token)."""
-
-    def __init__(self, seed: int = 0, dim: int = 64):
-        self._seed = seed
-        self._dim = dim
-        self._cache: dict[str, np.ndarray] = {}
-
-    def embed(self, token: str) -> np.ndarray:
-        vec = self._cache.get(token)
-        if vec is None:
-            vec = _token_rng(token, self._seed).standard_normal(self._dim)
-            vec /= np.linalg.norm(vec)
-            self._cache[token] = vec
-        return vec
-
-
-class FileEmbedding(EmbeddingProvider):
-    """Precomputed vectors in word2vec text format: ``token v1 v2 ...``.
-
-    Tokens absent from the file fall back to a deterministic hashed
-    vector so unknown words still match themselves and nothing else.
+    A token with no vector follows the one-hot rule: its cosine is 1 with
+    itself and 0 with every other token.
     """
 
     def __init__(self, path: Union[str, Path]):
         vectors: dict[str, np.ndarray] = {}
         dim: Optional[int] = None
+        header: Optional[tuple[int, int]] = None
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts:
                     continue
+                first = dim is None and header is None
+                if first and len(parts) == 2 and all(p.isdecimal() for p in parts):
+                    header = (lineno, int(parts[1]))  # word2vec's <count> <dim>
+                    continue
                 try:
                     vec = np.array([float(x) for x in parts[1:]])
                 except ValueError:
-                    raise ParseError(
-                        "non-numeric vector component", path=str(path), line=lineno
-                    ) from None
-                if vec.size == 0 or not np.isfinite(vec).all() or not vec.any():
-                    raise ParseError(
-                        f"vector for {parts[0]!r} is empty, non-finite or zero",
-                        path=str(path),
-                        line=lineno,
-                    )
-                if dim is None:
-                    dim = vec.size
-                elif vec.size != dim:
-                    raise ParseError(
-                        f"vector for {parts[0]!r} has dimension {vec.size}, expected {dim}",
-                        path=str(path),
-                        line=lineno,
-                    )
+                    vec = None
+                where, problem = lineno, None
+                if vec is None:
+                    problem = "non-numeric vector component"
+                elif vec.size == 0 or not np.isfinite(vec).all() or not vec.any():
+                    problem = f"vector for {parts[0]!r} is empty, non-finite or zero"
+                elif dim is not None and vec.size != dim:
+                    problem = f"vector for {parts[0]!r} has dimension {vec.size}, expected {dim}"
+                elif header is not None and vec.size != header[1]:
+                    where = header[0]
+                    problem = f"header gives dimension {header[1]}, vectors have {vec.size}"
+                if problem is not None:
+                    raise ParseError(problem, path=str(path), line=where)
+                dim = vec.size
                 vectors[parts[0]] = vec
         if not vectors:
             raise ConfigurationError(f"embedding file {path} contains no vectors")
         self._vectors = vectors
-        self._dim = int(dim)
-        self._fallback = HashedRandomEmbedding(seed=0, dim=self._dim)
+        self._zero = np.zeros(dim)
 
-    def embed(self, token: str) -> np.ndarray:
-        vec = self._vectors.get(token)
-        if vec is None:
-            return self._fallback.embed(token)
-        return vec
+    def cosines(
+        self, candidate_tokens: Sequence[str], reference_tokens: Sequence[str]
+    ) -> np.ndarray:
+        """Cosine of every candidate token with every reference token."""
+        cand = np.stack([self._vectors.get(t, self._zero) for t in candidate_tokens])
+        ref = np.stack([self._vectors.get(t, self._zero) for t in reference_tokens])
+        cand = cand / np.maximum(np.linalg.norm(cand, axis=1, keepdims=True), 1e-12)
+        ref = ref / np.maximum(np.linalg.norm(ref, axis=1, keepdims=True), 1e-12)
+        sims = cand @ ref.T
+        # a token with no vector has a zero row: 0 with everything, so only
+        # its equal tokens need setting
+        for i, token in enumerate(candidate_tokens):
+            if token not in self._vectors:
+                sims[i] = [token == other for other in reference_tokens]
+        return sims
+
+
+Embedder = Union[OneHotEmbedding, FileEmbedding]
+
+
+def embedder_file(spec: str) -> Optional[str]:
+    """The vector file an embedder spec names, or None for ``onehot``;
+    ConfigurationError for any spec but ``onehot`` and ``file:<path>``."""
+    if spec == "onehot":
+        return None
+    if spec.startswith("file:") and spec != "file:":
+        return spec[len("file:") :]
+    raise ConfigurationError(f"embedder: must be onehot or file:<path>, got {spec!r}")
 
 
 def make_embedder(spec: str) -> Embedder:
-    """Build a provider from its CLI name: ``onehot``,
-    ``hashed-random(seed)`` (or ``hashed-random:seed``) or ``file:<path>``."""
-    if spec == "onehot":
-        return OneHotEmbedding()
-    if spec.startswith("hashed-random"):
-        seed = spec[len("hashed-random") :].strip("():")
-        try:
-            return HashedRandomEmbedding(seed=int(seed) if seed else 0)
-        except ValueError:
-            raise ConfigurationError(f"bad hashed-random seed in {spec!r}") from None
-    if spec.startswith("file:"):
-        return FileEmbedding(spec[len("file:") :])
-    raise ConfigurationError(
-        f"unknown embedder {spec!r}; expected onehot, hashed-random(seed) or file:<path>"
-    )
+    """Build the embedder an embedder spec names (see :func:`embedder_file`)."""
+    path = embedder_file(spec)
+    return OneHotEmbedding() if path is None else FileEmbedding(path)
 
 
 def greedy_match_f1(
@@ -154,11 +135,7 @@ def greedy_match_f1(
         precision = sum(t in ref_set for t in candidate_tokens) / n_cand
         recall = sum(t in cand_set for t in reference_tokens) / n_ref
     else:
-        cand = np.stack([embedder.embed(t) for t in candidate_tokens])
-        ref = np.stack([embedder.embed(t) for t in reference_tokens])
-        cand = cand / np.maximum(np.linalg.norm(cand, axis=1, keepdims=True), 1e-12)
-        ref = ref / np.maximum(np.linalg.norm(ref, axis=1, keepdims=True), 1e-12)
-        sims = cand @ ref.T
+        sims = embedder.cosines(candidate_tokens, reference_tokens)
         # dot with ones rather than .mean(): the summation order fixes the
         # last bits of the scores written to the pair files
         precision = float(sims.max(axis=1) @ np.ones(n_cand) / n_cand)

@@ -138,7 +138,7 @@ def test_each_config_key_reaches_its_config(tmp_path):
         "keep_fraction": (0.3, ["filter"]),
         "weights": ({"embedding": 0.25, "trigram": 0.75}, ["filter"]),
         "workers": (2, [None]),
-        "embedder": ("hashed-random:1", [None]),
+        "embedder": ("file:vectors.txt", [None]),
         "mode": ("a", [None]),
         "target_size": (20, [None]),
         "separator": (" | ", [None]),
@@ -167,6 +167,21 @@ def test_wrong_json_type_exits_config_naming_the_key(tmp_path, caplog, key):
     argv = ["filter", "--config", str(config), "--in", str(pairs), "--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_CONFIG
     assert f"\n  {key}: must be {wanted}, got {value!r}" in caplog.text
+
+
+def test_bad_embedder_is_reported_with_every_other_problem(tmp_path, caplog):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"source": "a b", "generated": "a c", "label": 1}) + "\n")
+    argv = ["filter", "--in", str(pairs), "--embedder", "bogus", "--keep", "2",
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert "\n  keep_fraction: must be in (0, 1], got 2.0" in caplog.text
+    assert "\n  embedder: must be onehot or file:<path>, got 'bogus'" in caplog.text
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"embedder": "hashed-random:1"}), encoding="utf-8")
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(None, str(config))
+    assert "embedder: must be onehot or file:<path>" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +445,9 @@ MALFORMED_RECORD_CASES = {
         ["filter", "--in", "{f}", "--out", "{d}/o"],
     ),
     "evaluate": ({"text": "the cat sat"}, '{"text": null}', ["evaluate", "--pred", "{f}", "--ref", "{f}"]),
+    "evaluate-text-after-json": (
+        {"text": "the cat sat"}, "the cat sat", ["evaluate", "--pred", "{f}", "--ref", "{f}"]
+    ),
 }
 
 

@@ -11,7 +11,6 @@ from notesum.dataset import (
     assemble_training_set,
     compose_input,
     read_section_notes,
-    truncate_tokens,
     write_instances,
 )
 from notesum.errors import DataError, ParseError
@@ -138,28 +137,6 @@ def test_duplicate_instances_are_not_emitted():
 def test_duplicate_note_ids_are_rejected():
     with pytest.raises(DataError):
         assemble_training_set([note(), note()], [], target_size=10)
-
-
-# ---------------------------------------------------------------------------
-# truncation + serialization
-
-
-def test_long_text_truncates_to_cap():
-    text = " ".join(f"t{i}" for i in range(600))
-    out = truncate_tokens(text, 512)
-    assert len(out.split()) == 512
-    assert out.split()[-1] == "t511"
-
-
-def test_short_text_is_unchanged():
-    text = "keep  this   exact spacing"
-    assert truncate_tokens(text, 512) is text
-
-
-def test_cap_of_one_keeps_first_token():
-    assert truncate_tokens("first second", 1) == "first"
-    with pytest.raises(ValueError):
-        truncate_tokens("x", 0)
 
 
 # ---------------------------------------------------------------------------

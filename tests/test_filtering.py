@@ -6,11 +6,9 @@ from hypothesis import given, strategies as st
 
 from notesum.errors import ConfigurationError, ParseError
 from notesum.filtering import (
-    EmbeddingProvider,
     EmbeddingScorer,
     FileEmbedding,
     FilterConfig,
-    HashedRandomEmbedding,
     OneHotEmbedding,
     combined_score,
     filter_top_fraction,
@@ -34,9 +32,6 @@ def overlap_prf(cand, ref):
 def test_identical_sentences_score_one():
     tokens = "pt stable on cpap".split()
     assert greedy_match_f1(tokens, tokens, OneHotEmbedding()) == (1.0, 1.0, 1.0)
-    assert greedy_match_f1(tokens, tokens, HashedRandomEmbedding(seed=1)) == pytest.approx(
-        (1.0, 1.0, 1.0)
-    )
 
 
 def test_half_overlap_hand_value():
@@ -74,22 +69,66 @@ def test_swapping_sides_swaps_precision_and_recall(cand, ref):
     assert f1 == pytest.approx(f2, abs=1e-12)
 
 
-class BasisEmbedding(EmbeddingProvider):
-    """Explicit one-hot vectors over a fixed vocabulary."""
+def write_vectors(path, rows):
+    path.write_text("".join(f"{t} {' '.join(map(str, v))}\n" for t, v in rows), encoding="utf-8")
+    return path
 
-    def __init__(self, vocabulary):
-        self._index = {t: i for i, t in enumerate(vocabulary)}
 
-    def embed(self, token):
-        vec = np.zeros(len(self._index))
-        vec[self._index[token]] = 1.0
-        return vec
+@pytest.fixture(scope="module")
+def basis_vectors(tmp_path_factory):
+    """A vector file of explicit one-hot vectors over the vocabulary a-h."""
+    vocabulary = "abcdefgh"
+    rows = [(t, np.eye(len(vocabulary))[i]) for i, t in enumerate(vocabulary)]
+    return FileEmbedding(write_vectors(tmp_path_factory.mktemp("basis") / "v.txt", rows))
+
+
+@pytest.fixture(scope="module")
+def unrelated_vectors(tmp_path_factory):
+    """A vector file that holds none of the tokens the tests draw."""
+    rows = [("zz", [1.0, 2.0, 0.5]), ("yy", [-1.0, 0.0, 3.0])]
+    return FileEmbedding(write_vectors(tmp_path_factory.mktemp("other") / "v.txt", rows))
 
 
 @given(tokens_strategy, tokens_strategy)
-def test_onehot_equals_matching_over_explicit_basis_vectors(cand, ref):
-    explicit = greedy_match_f1(cand, ref, BasisEmbedding("abcdefgh"))
+def test_onehot_equals_matching_over_explicit_basis_vectors(basis_vectors, cand, ref):
+    explicit = greedy_match_f1(cand, ref, basis_vectors)
     assert greedy_match_f1(cand, ref, OneHotEmbedding()) == explicit
+
+
+@given(tokens_strategy, tokens_strategy)
+def test_tokens_without_vectors_follow_the_onehot_rule(unrelated_vectors, cand, ref):
+    got = greedy_match_f1(cand, ref, unrelated_vectors)
+    assert got == greedy_match_f1(cand, ref, OneHotEmbedding())
+
+
+def cosine_oracle(a, b, vectors):
+    """One token pair's cosine: from the vectors when both have one, else
+    1 for equal tokens and 0 otherwise."""
+    if a in vectors and b in vectors:
+        va, vb = np.array(vectors[a]), np.array(vectors[b])
+        return float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
+    return 1.0 if a == b else 0.0
+
+
+@pytest.fixture(scope="module")
+def mixed_vectors(tmp_path_factory):
+    """Vectors for cpap, vent and sat; x and y have none."""
+    vectors = {"cpap": [1.0, 0.5], "vent": [0.8, 0.6], "sat": [-1.0, 0.2]}
+    path = write_vectors(tmp_path_factory.mktemp("mixed") / "v.txt", vectors.items())
+    return FileEmbedding(path), vectors
+
+
+@given(
+    st.lists(st.sampled_from(["cpap", "vent", "sat", "x", "y"]), min_size=1, max_size=6),
+    st.lists(st.sampled_from(["cpap", "vent", "sat", "x", "y"]), min_size=1, max_size=6),
+)
+def test_mixed_known_and_unknown_tokens_match_a_per_pair_oracle(mixed_vectors, cand, ref):
+    embedder, vectors = mixed_vectors
+    sims = [[cosine_oracle(c, r, vectors) for r in ref] for c in cand]
+    p = sum(max(row) for row in sims) / len(cand)
+    r = sum(max(col) for col in zip(*sims)) / len(ref)
+    f1 = 0.0 if p + r == 0 else 2 * p * r / (p + r)
+    assert greedy_match_f1(cand, ref, embedder) == pytest.approx((p, r, f1), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -194,36 +233,50 @@ def test_filter_config_reports_every_problem():
 
 
 # ---------------------------------------------------------------------------
-# embedding providers
+# embedders and vector files
 
 
-def test_embedder_names_parse():
+def test_embedder_names_parse(tmp_path):
     assert isinstance(make_embedder("onehot"), OneHotEmbedding)
-    assert isinstance(make_embedder("hashed-random:7"), HashedRandomEmbedding)
-    assert isinstance(make_embedder("hashed-random(7)"), HashedRandomEmbedding)
-    with pytest.raises(ConfigurationError):
-        make_embedder("word2vec")
-    with pytest.raises(ConfigurationError):
-        make_embedder("hashed-random(x)")
+    path = write_vectors(tmp_path / "v.txt", [("cpap", [1.0, 0.0])])
+    assert isinstance(make_embedder(f"file:{path}"), FileEmbedding)
+    for spec in ("word2vec", "hashed-random:7", "hashed-random(7)", "file:", "Onehot"):
+        with pytest.raises(ConfigurationError) as exc:
+            make_embedder(spec)
+        assert exc.value.problems == [f"embedder: must be onehot or file:<path>, got {spec!r}"]
 
 
-def test_hashed_vectors_are_stable_and_unit_norm():
-    a = HashedRandomEmbedding(seed=3)
-    b = HashedRandomEmbedding(seed=3)
-    va, vb = a.embed("cpap"), b.embed("cpap")
-    assert np.array_equal(va, vb)
-    assert np.linalg.norm(va) == pytest.approx(1.0)
-    assert not np.array_equal(a.embed("cpap"), a.embed("vent"))
+def test_word2vec_header_line_is_skipped(tmp_path):
+    rows = [("cpap", [1.0, 0.0, 2.0]), ("vent", [0.0, 1.0, 0.5]), ("sat", [3.0, 1.0, 0.0])]
+    plain = FileEmbedding(write_vectors(tmp_path / "plain.txt", rows))
+    headed_path = tmp_path / "headed.txt"
+    headed_path.write_text("3 3\n" + (tmp_path / "plain.txt").read_text(), encoding="utf-8")
+    headed = FileEmbedding(headed_path)
+    tokens = ["cpap", "vent", "sat", "unseen"]
+    assert np.array_equal(headed.cosines(tokens, tokens), plain.cosines(tokens, tokens))
+
+
+def test_word2vec_header_with_the_wrong_dimension_names_its_line(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("\n2 1\ncpap 1.0 0.0 2.0\nvent 0.0 1.0 0.5\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        FileEmbedding(path)
+    assert f"{path}:2:" in str(exc.value)
+    assert "dimension 1" in str(exc.value)
+
+
+def test_only_the_first_line_can_be_a_header(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("cpap 1.0\n2 1\n", encoding="utf-8")  # "2" is a 1-d vector here
+    emb = FileEmbedding(path)
+    assert greedy_match_f1(["cpap"], ["2"], emb) == (1.0, 1.0, 1.0)
 
 
 def test_file_embeddings_load_and_fall_back(tmp_path):
-    path = tmp_path / "vectors.txt"
-    path.write_text("cpap 1.0 0.0\nvent 0.0 1.0\n", encoding="utf-8")
-    emb = FileEmbedding(path)
-    assert emb.embed("cpap").tolist() == [1.0, 0.0]
-    oov = emb.embed("unseen")
-    assert oov.shape == (2,)
-    assert np.array_equal(oov, emb.embed("unseen"))
+    rows = [("cpap", [2.0, 0.0]), ("vent", [0.0, 1.0])]
+    emb = FileEmbedding(write_vectors(tmp_path / "v.txt", rows))
+    sims = emb.cosines(["cpap", "vent", "unseen"], ["cpap", "unseen", "other"])
+    assert sims.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
 
 
 def test_file_embeddings_reject_bad_rows(tmp_path):
