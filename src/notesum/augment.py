@@ -213,7 +213,8 @@ class LanguageModel(ABC):
     ``next_token_distribution`` returns a probability vector over
     ``vocabulary()`` (non-negative, summing to 1 within 1e-9) given a
     token prefix. Implementations must be safe for concurrent read-only
-    queries.
+    queries. Overriding ``next_token_distributions`` is optional: the
+    default stacks one ``next_token_distribution`` call per prefix.
     """
 
     @abstractmethod
@@ -221,6 +222,14 @@ class LanguageModel(ABC):
 
     @abstractmethod
     def next_token_distribution(self, prefix: Sequence[str]) -> np.ndarray: ...
+
+    def next_token_distributions(self, prefixes: Sequence[Sequence[str]]) -> np.ndarray:
+        """One (len(prefixes), len(vocabulary())) matrix, a row per prefix."""
+        rows = [np.asarray(self.next_token_distribution(p), dtype=float) for p in prefixes]
+        shapes = {row.shape for row in rows}
+        if len(shapes) > 1:
+            raise BackendError(f"language model returned rows of shapes {sorted(shapes)}")
+        return np.stack(rows)
 
 
 class CueBigramLM(LanguageModel):
@@ -230,6 +239,11 @@ class CueBigramLM(LanguageModel):
     last prefix token found in ``cues`` (None when absent), which lets an
     instruction wording steer continuations the way a real LLM would.
     Unseen contexts fall back to the cue-free table, then to uniform.
+
+    Table memory is O(observed bigrams): a context keeps the ids of the
+    tokens it has seen, their probabilities, and the one probability every
+    other token shares. Each call rebuilds the rows it returns, byte for
+    byte equal to the dense smoothed row divided by its sum.
     """
 
     def __init__(
@@ -243,16 +257,21 @@ class CueBigramLM(LanguageModel):
             raise ConfigurationError("vocabulary must be non-empty")
         self._ids = {w: i for i, w in enumerate(self._vocab)}
         self._cues = frozenset(cues)
-        self._table: dict[tuple[Optional[str], str], np.ndarray] = {}
+        # (ids, probabilities, off-support probability) per context; the
+        # normalizer is the sum of the dense smoothed row, built in one
+        # reused buffer, so the rows densify to the same bytes.
+        self._table: dict[tuple[Optional[str], str], tuple[np.ndarray, np.ndarray, float]] = {}
+        dense = np.empty(len(self._vocab))
         for (cue, prev), weights in table.items():
-            row = np.full(len(self._vocab), BIGRAM_SMOOTHING, dtype=float)
-            for token, weight in weights.items():
-                if token not in self._ids:
-                    raise ConfigurationError(f"table token {token!r} not in vocabulary")
-                row[self._ids[token]] += float(weight)
-            self._table[(cue, prev)] = row / row.sum()
-        uniform = np.full(len(self._vocab), 1.0 / len(self._vocab))
-        self._uniform = uniform
+            try:
+                ids = np.array([self._ids[token] for token in weights], dtype=np.intp)
+            except KeyError as exc:
+                raise ConfigurationError(f"table token {exc.args[0]!r} not in vocabulary") from None
+            dense.fill(BIGRAM_SMOOTHING)
+            dense[ids] += np.array([float(w) for w in weights.values()])
+            z = dense.sum()
+            self._table[(cue, prev)] = (ids, dense[ids] / z, BIGRAM_SMOOTHING / z)
+        self._uniform = (np.empty(0, dtype=np.intp), np.empty(0), 1.0 / len(self._vocab))
 
     @classmethod
     def from_corpus(
@@ -287,7 +306,7 @@ class CueBigramLM(LanguageModel):
     def vocabulary(self) -> Sequence[str]:
         return self._vocab
 
-    def next_token_distribution(self, prefix: Sequence[str]) -> np.ndarray:
+    def _row(self, prefix: Sequence[str]) -> tuple[np.ndarray, np.ndarray, float]:
         cue = None
         for token in reversed(prefix):
             if token in self._cues:
@@ -299,6 +318,23 @@ class CueBigramLM(LanguageModel):
             if row is not None:
                 return row
         return self._uniform
+
+    def next_token_distribution(self, prefix: Sequence[str]) -> np.ndarray:
+        return self.next_token_distributions([prefix])[0]
+
+    def next_token_distributions(self, prefixes: Sequence[Sequence[str]]) -> np.ndarray:
+        """Prefixes that resolve to one context share one densified row."""
+        out = np.empty((len(prefixes), len(self._vocab)))
+        first: dict[int, int] = {}
+        for i, prefix in enumerate(prefixes):
+            ids, probs, rest = row = self._row(prefix)
+            j = first.setdefault(id(row), i)
+            if j == i:
+                out[i].fill(rest)
+                out[i, ids] = probs
+            else:
+                out[i] = out[j]
+        return out
 
 
 def select_terms(source: str, problem_list: str) -> list[str]:
@@ -350,13 +386,16 @@ def instantiate_template(
 
 
 def suppressed_scores(
-    p_target: np.ndarray, p_counters: Sequence[np.ndarray], lam: float
+    p_target: np.ndarray, p_counters: Union[Sequence[np.ndarray], np.ndarray], lam: float
 ) -> np.ndarray:
-    """Unnormalized self-debias scores: max(0, p_target - lam * max counter)."""
+    """Unnormalized self-debias scores: max(0, p_target - lam * max counter).
+
+    ``p_counters`` is a sequence of vectors or one (k, V) array.
+    """
     p_target = np.asarray(p_target, dtype=float)
-    if not p_counters:
+    if len(p_counters) == 0:
         return p_target.copy()
-    stacked = np.stack([np.asarray(c, dtype=float) for c in p_counters])
+    stacked = np.asarray(p_counters, dtype=float)
     if stacked.shape[1:] != p_target.shape:
         raise ValueError(
             f"counter distributions have shape {stacked.shape[1:]}, "
@@ -366,7 +405,7 @@ def suppressed_scores(
 
 
 def self_debias_step(
-    p_target: np.ndarray, p_counters: Sequence[np.ndarray], lam: float
+    p_target: np.ndarray, p_counters: Union[Sequence[np.ndarray], np.ndarray], lam: float
 ) -> np.ndarray:
     """One decoding-time debias step.
 
@@ -381,15 +420,16 @@ def self_debias_step(
     return scores / total
 
 
-def _check_distribution(dist: np.ndarray, vocab_size: int) -> np.ndarray:
-    dist = np.asarray(dist, dtype=float)
-    if dist.shape != (vocab_size,):
+def _check_distributions(dists: np.ndarray, rows: int, vocab_size: int) -> np.ndarray:
+    dists = np.asarray(dists, dtype=float)
+    if dists.shape != (rows, vocab_size):
         raise BackendError(
-            f"language model returned shape {dist.shape}, expected ({vocab_size},)"
+            f"language model returned shape {dists.shape}, expected ({rows}, {vocab_size})"
         )
-    if (dist < 0).any() or abs(float(dist.sum()) - 1.0) > 1e-9:
+    # written so that NaN fails: every comparison with NaN is False
+    if not (dists >= 0).all() or (np.abs(dists.sum(axis=1) - 1.0) > 1e-9).any():
         raise BackendError("language model returned an invalid distribution")
-    return dist
+    return dists
 
 
 def generate(
@@ -402,25 +442,23 @@ def generate(
     """Decode a continuation of ``target_prompt`` away from the counters.
 
     Every emitted token extends the target prefix and every counter prefix
-    alike; decoding stops at sentence-final punctuation or at the output
-    cap. Greedy by default; sampling (optionally top-k) uses the supplied
-    or seeded generator.
+    alike; each step asks the model for all prefixes' distributions in one
+    ``next_token_distributions`` call. Decoding stops at sentence-final
+    punctuation or at the output cap. Greedy by default; sampling
+    (optionally top-k) uses the supplied or seeded generator.
     """
-    vocab = list(lm.vocabulary())
-    target_prefix = target_prompt.split()
-    counter_prefixes = [p.split() for p in counter_prompts]
+    vocab = lm.vocabulary()
+    prefixes = [prompt.split() for prompt in (target_prompt, *counter_prompts)]
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     emitted: list[str] = []
     for _ in range(cfg.max_output_tokens):
-        p_target = _check_distribution(
-            lm.next_token_distribution(target_prefix + emitted), len(vocab)
+        dists = _check_distributions(
+            lm.next_token_distributions([prefix + emitted for prefix in prefixes]),
+            len(prefixes),
+            len(vocab),
         )
-        p_counters = [
-            _check_distribution(lm.next_token_distribution(prefix + emitted), len(vocab))
-            for prefix in counter_prefixes
-        ]
-        adjusted = self_debias_step(p_target, p_counters, cfg.lam)
+        adjusted = self_debias_step(dists[0], dists[1:], cfg.lam)
         if cfg.greedy:
             choice = int(np.argmax(adjusted))
         else:

@@ -1,9 +1,13 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from notesum.augment import (
+    BIGRAM_SMOOTHING,
     CueBigramLM,
     GenerationConfig,
     InstructionTemplate,
@@ -179,6 +183,10 @@ def test_output_is_always_a_distribution(data):
     out = self_debias_step(p, counters, lam)
     assert (out >= 0).all()
     assert abs(out.sum() - 1.0) < 1e-9
+    # a (k, V) counter array is the same input as a list of k vectors
+    stacked = np.stack(counters)
+    assert self_debias_step(p, stacked, lam).tobytes() == out.tobytes()
+    assert suppressed_scores(p, stacked, lam).tobytes() == suppressed_scores(p, counters, lam).tobytes()
 
 
 @given(st.data())
@@ -270,15 +278,123 @@ def test_sampling_is_deterministic_under_a_seed():
 
 
 def test_broken_backend_is_reported():
-    class BadLM(LanguageModel):
-        def vocabulary(self):
-            return ["a", "b"]
+    broken = (
+        lambda prefix: np.array([0.9, 0.9]),
+        lambda prefix: np.array([np.nan, np.nan]),
+        # a row length that depends on the prefix
+        lambda prefix: np.full(len(prefix) + 1, 1.0 / (len(prefix) + 1)),
+    )
+    for distribution in broken:
 
-        def next_token_distribution(self, prefix):
-            return np.array([0.9, 0.9])
+        class BadLM(LanguageModel):
+            def vocabulary(self):
+                return ["a", "b"]
 
-    with pytest.raises(BackendError):
-        generate(BadLM(), "x", [], GenerationConfig(max_output_tokens=2))
+            def next_token_distribution(self, prefix):
+                return distribution(prefix)
+
+        for greedy in (True, False):
+            cfg = GenerationConfig(max_output_tokens=2, greedy=greedy)
+            with pytest.raises(BackendError):
+                generate(BadLM(), "x", ["y z"], cfg)
+
+
+def dense_reference_row(vocab, table, cues, prefix):
+    """The dense formula: smoothed row, += each weight, / row.sum()."""
+    ids = {w: i for i, w in enumerate(vocab)}
+    cue = next((t for t in reversed(prefix) if t in cues), None)
+    prev = prefix[-1] if prefix else ""
+    for key in ((cue, prev), (None, prev), (None, "")):
+        if key in table:
+            row = np.full(len(vocab), BIGRAM_SMOOTHING, dtype=float)
+            for token, weight in table[key].items():
+                row[ids[token]] += float(weight)
+            return row / row.sum()
+    return np.full(len(vocab), 1.0 / len(vocab))
+
+
+@st.composite
+def bigram_tables(draw):
+    vocab = [f"w{i}" for i in range(draw(st.integers(1, 12)))]
+    cues = draw(st.sets(st.sampled_from(["c0", "c1", "w0"])))
+    weights = st.dictionaries(
+        st.sampled_from(vocab),
+        st.one_of(st.integers(0, 50), st.floats(0.0, 100.0, allow_nan=False)),
+    )
+    keys = st.tuples(st.sampled_from([None, *sorted(cues)]), st.sampled_from(["", ":", *vocab]))
+    table = draw(st.dictionaries(keys, weights, max_size=12))
+    tokens = st.sampled_from([*vocab, "c0", "c1", ":", "unseen"])
+    prefixes = draw(st.lists(st.lists(tokens, max_size=5), min_size=1, max_size=4))
+    return vocab, table, cues, prefixes
+
+
+@given(bigram_tables())
+def test_sparse_rows_equal_the_dense_formula_byte_for_byte(case):
+    vocab, table, cues, prefixes = case
+    lm = CueBigramLM(vocab, table, cues=cues)
+    rows = lm.next_token_distributions(prefixes)
+    assert rows.shape == (len(prefixes), len(vocab))
+    for prefix, row in zip(prefixes, rows):
+        dist = lm.next_token_distribution(prefix)
+        assert dist.tobytes() == dense_reference_row(vocab, table, cues, prefix).tobytes()
+        assert row.tobytes() == dist.tobytes()
+
+
+def test_table_token_outside_the_vocabulary_is_rejected():
+    with pytest.raises(ConfigurationError, match="'b' not in vocabulary"):
+        CueBigramLM(["a"], {(None, "a"): {"a": 1.0, "b": 1.0}})
+
+
+def test_bigram_table_memory_grows_with_observed_bigrams():
+    rng = random.Random(3)
+    words = [f"w{i}" for i in range(3000)]
+    sentences = [" ".join(rng.choice(words) for _ in range(12)) for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        lm = CueBigramLM.from_corpus(sentences)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lm.vocabulary()) > 2500
+    assert peak < 16 * 2**20
+
+
+def reference_greedy_decode(lm, target_prompt, counter_prompts, lam, max_tokens):
+    """Greedy self-debiased decoding from one next_token_distribution
+    call per prefix and step."""
+    vocab = lm.vocabulary()
+    prefixes = [p.split() for p in (target_prompt, *counter_prompts)]
+    emitted = []
+    for _ in range(max_tokens):
+        p_t = lm.next_token_distribution(prefixes[0] + emitted)
+        p_c = np.max([lm.next_token_distribution(p + emitted) for p in prefixes[1:]], axis=0)
+        scores = np.maximum(0.0, p_t - lam * p_c)
+        dist = p_t if scores.sum() <= 0.0 else scores / scores.sum()
+        emitted.append(vocab[int(np.argmax(dist))])
+        if emitted[-1].endswith((".", "!", "?")):
+            break
+    return " ".join(emitted)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "lm, prompts",
+    [
+        # target and counters resolve to different contexts; the two
+        # counters share one
+        (make_lm(), ["paraphrase same :", "contrast different :", "other different :"]),
+        # no cues: every prompt resolves to the one context of its last token
+        (
+            CueBigramLM.from_corpus(["pt stable overnight .", "pt improving on cpap .", "cpap stable ."]),
+            ["same thing : pt", "similar : pt", "topics : pt"],
+        ),
+    ],
+    ids=["distinct-keys", "shared-key"],
+)
+def test_generate_matches_a_per_prefix_reference_decoder(lm, prompts, lam):
+    cfg = GenerationConfig(max_output_tokens=12, lam=lam)
+    expected = reference_greedy_decode(lm, prompts[0], prompts[1:], lam, cfg.max_output_tokens)
+    assert generate(lm, prompts[0], prompts[1:], cfg) == expected
 
 
 def test_bigram_lm_trains_from_corpus():
