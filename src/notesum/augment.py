@@ -308,10 +308,11 @@ class CueBigramLM(LanguageModel):
 
     def _row(self, prefix: Sequence[str]) -> tuple[np.ndarray, np.ndarray, float]:
         cue = None
-        for token in reversed(prefix):
-            if token in self._cues:
-                cue = token
-                break
+        if self._cues:  # a cue-free model, as the pipeline builds, skips the scan
+            for token in reversed(prefix):
+                if token in self._cues:
+                    cue = token
+                    break
         prev = prefix[-1] if prefix else ""
         for key in ((cue, prev), (None, prev), (None, "")):
             row = self._table.get(key)

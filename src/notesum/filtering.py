@@ -11,6 +11,7 @@ any other, which is also the rule for a token the file lacks.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -22,6 +23,7 @@ from .jsonl import is_number
 from .text import trigram_jaccard
 
 DEFAULT_KEEP_FRACTION = 0.15
+NORMALIZE_BLOCK = 512  # rows normalized per step while a vector file loads
 
 Scorer = Callable[[str, str], float]
 
@@ -39,12 +41,18 @@ class FileEmbedding:
     """Word vectors in word2vec text format: ``token v1 v2 ...`` per line,
     after an optional ``<count> <dim>`` header line.
 
-    A token with no vector follows the one-hot rule: its cosine is 1 with
-    itself and 0 with every other token.
+    A token listed on more than one line keeps its last vector. The
+    vectors are normalized once, at load, into one matrix of unit rows
+    whose last row is zero. A token with no vector maps to that row and
+    follows the one-hot rule: its cosine is 1 with itself and 0 with
+    every other token.
     """
 
     def __init__(self, path: Union[str, Path]):
-        vectors: dict[str, np.ndarray] = {}
+        rows: dict[str, int] = {}
+        # one flat buffer that the matrix then shares: no second copy of
+        # the vectors is alive while the file loads
+        values = array("d")
         dim: Optional[int] = None
         header: Optional[tuple[int, int]] = None
         with open(path, encoding="utf-8") as fh:
@@ -57,41 +65,49 @@ class FileEmbedding:
                     header = (lineno, int(parts[1]))  # word2vec's <count> <dim>
                     continue
                 try:
-                    vec = np.array([float(x) for x in parts[1:]])
+                    vec = list(map(float, parts[1:]))
                 except ValueError:
                     vec = None
                 where, problem = lineno, None
                 if vec is None:
                     problem = "non-numeric vector component"
-                elif vec.size == 0 or not np.isfinite(vec).all() or not vec.any():
+                elif not vec or not all(map(math.isfinite, vec)) or not any(vec):
                     problem = f"vector for {parts[0]!r} is empty, non-finite or zero"
-                elif dim is not None and vec.size != dim:
-                    problem = f"vector for {parts[0]!r} has dimension {vec.size}, expected {dim}"
-                elif header is not None and vec.size != header[1]:
+                elif dim is not None and len(vec) != dim:
+                    problem = f"vector for {parts[0]!r} has dimension {len(vec)}, expected {dim}"
+                elif header is not None and len(vec) != header[1]:
                     where = header[0]
-                    problem = f"header gives dimension {header[1]}, vectors have {vec.size}"
+                    problem = f"header gives dimension {header[1]}, vectors have {len(vec)}"
                 if problem is not None:
                     raise ParseError(problem, path=str(path), line=where)
-                dim = vec.size
-                vectors[parts[0]] = vec
-        if not vectors:
+                dim = len(vec)
+                rows[parts[0]] = len(values) // dim
+                values.fromlist(vec)
+        if not rows:
             raise ConfigurationError(f"embedding file {path} contains no vectors")
-        self._vectors = vectors
-        self._zero = np.zeros(dim)
+        values.fromlist([0.0] * dim)
+        unit = np.frombuffer(values, dtype=np.float64).reshape(-1, dim)
+        # row by row this is the arithmetic of a per-call normalization,
+        # so the cosines keep their last bits; blocks bound the temporaries
+        for start in range(0, len(unit), NORMALIZE_BLOCK):
+            block = unit[start : start + NORMALIZE_BLOCK]
+            block /= np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-12)
+        self._rows = rows
+        self._unit = unit
+        self._missing = len(unit) - 1
 
     def cosines(
         self, candidate_tokens: Sequence[str], reference_tokens: Sequence[str]
     ) -> np.ndarray:
         """Cosine of every candidate token with every reference token."""
-        cand = np.stack([self._vectors.get(t, self._zero) for t in candidate_tokens])
-        ref = np.stack([self._vectors.get(t, self._zero) for t in reference_tokens])
-        cand = cand / np.maximum(np.linalg.norm(cand, axis=1, keepdims=True), 1e-12)
-        ref = ref / np.maximum(np.linalg.norm(ref, axis=1, keepdims=True), 1e-12)
-        sims = cand @ ref.T
-        # a token with no vector has a zero row: 0 with everything, so only
-        # its equal tokens need setting
-        for i, token in enumerate(candidate_tokens):
-            if token not in self._vectors:
+        rows, missing = self._rows, self._missing
+        cand = [rows.get(t, missing) for t in candidate_tokens]
+        ref = [rows.get(t, missing) for t in reference_tokens]
+        sims = self._unit[cand] @ self._unit[ref].T
+        # a token with no vector has the zero row: 0 with everything, so
+        # only its equal tokens need setting
+        for i, (token, row) in enumerate(zip(candidate_tokens, cand)):
+            if row == missing:
                 sims[i] = [token == other for other in reference_tokens]
         return sims
 

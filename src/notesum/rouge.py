@@ -43,8 +43,15 @@ def _tokens(text: str, stemmer: Optional[Callable[[str], str]]) -> list[str]:
     return tokens
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_prf(cand: Sequence[str], ref: Sequence[str], n: int) -> PRF:
+    if len(cand) < n or len(ref) < n:
+        return PRF(0.0, 0.0, 0.0)
+    shorter, longer = (cand, ref) if len(cand) <= len(ref) else (ref, cand)
+    grams = Counter(zip(*(shorter[i:] for i in range(n))))
+    # the longer side's n-grams count only where the shorter side has them
+    shared = Counter(filter(grams.__contains__, zip(*(longer[i:] for i in range(n)))))
+    overlap = sum(min(count, grams[gram]) for gram, count in shared.items())
+    return PRF.from_counts(overlap, len(cand) - n + 1, len(ref) - n + 1)
 
 
 def rouge_n(
@@ -59,35 +66,32 @@ def rouge_n(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    cand = _tokens(candidate, stemmer)
-    ref = _tokens(reference, stemmer)
-    if len(cand) < n or len(ref) < n:
-        return PRF(0.0, 0.0, 0.0)
-    cand_grams = _ngrams(cand, n)
-    ref_grams = _ngrams(ref, n)
-    overlap = sum((cand_grams & ref_grams).values())
-    return PRF.from_counts(overlap, sum(cand_grams.values()), sum(ref_grams.values()))
+    return _ngram_prf(_tokens(candidate, stemmer), _tokens(reference, stemmer), n)
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length via a two-row DP table."""
-    if not a or not b:
-        return 0
+    """Longest common subsequence length, bit-parallel (Allison & Dix 1986;
+    Hyyrö 2004).
+
+    Bit j of a match mask is set where the shorter sequence holds the
+    token at position j. One add, subtract and or per token of the longer
+    sequence updates the bit-vector of the DP row's steps; the LCS is the
+    number of zero bits it ends with, the same integer as the full table.
+    """
     if len(b) > len(a):
         a, b = b, a
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        curr = [0]
-        append = curr.append
-        for j, y in enumerate(b):
-            if x == y:
-                append(prev[j] + 1)
-            else:
-                p = prev[j + 1]
-                c = curr[j]
-                append(p if p >= c else c)
-        prev = curr
-    return prev[-1]
+    if not b:
+        return 0
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
+    # a token the shorter sequence lacks leaves v as it is
+    for m in filter(None, map(masks.get, a)):
+        u = v & m
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(
@@ -98,10 +102,7 @@ def rouge_l(
     """LCS-based precision/recall/F1 over whole token sequences."""
     cand = _tokens(candidate, stemmer)
     ref = _tokens(reference, stemmer)
-    if not cand or not ref:
-        return PRF(0.0, 0.0, 0.0)
-    lcs = lcs_length(cand, ref)
-    return PRF.from_counts(lcs, len(cand), len(ref))
+    return PRF.from_counts(lcs_length(cand, ref), len(cand), len(ref))
 
 
 def score_summary(
@@ -109,11 +110,14 @@ def score_summary(
     reference: str,
     stemmer: Optional[Callable[[str], str]] = None,
 ) -> RougeScore:
-    """ROUGE-1, ROUGE-2 and ROUGE-LCS of one candidate summary."""
+    """ROUGE-1, ROUGE-2 and ROUGE-LCS of one candidate summary, over one
+    tokenization of each side."""
+    cand = _tokens(candidate, stemmer)
+    ref = _tokens(reference, stemmer)
     return RougeScore(
-        r1=rouge_n(candidate, reference, 1, stemmer),
-        r2=rouge_n(candidate, reference, 2, stemmer),
-        rl=rouge_l(candidate, reference, stemmer),
+        r1=_ngram_prf(cand, ref, 1),
+        r2=_ngram_prf(cand, ref, 2),
+        rl=PRF.from_counts(lcs_length(cand, ref), len(cand), len(ref)),
     )
 
 
@@ -129,24 +133,15 @@ def evaluate_corpus(
         )
     if not predictions:
         raise ValueError("cannot evaluate an empty corpus")
-    totals = {(m, c): 0.0 for m in ("r1", "r2", "rl") for c in ("precision", "recall", "f1")}
+    # nine running sums, each added to pair by pair in corpus order
+    totals = [0.0] * 9
     for pred, ref in zip(predictions, references):
         score = score_summary(pred, ref, stemmer)
-        for metric in ("r1", "r2", "rl"):
-            prf = getattr(score, metric)
-            for component in ("precision", "recall", "f1"):
-                totals[(metric, component)] += getattr(prf, component)
+        for k, value in enumerate((*score.r1, *score.r2, *score.rl)):
+            totals[k] += value
     n = len(predictions)
-    means = {k: v / n for k, v in totals.items()}
-
-    def prf(metric: str) -> PRF:
-        return PRF(
-            means[(metric, "precision")],
-            means[(metric, "recall")],
-            means[(metric, "f1")],
-        )
-
-    return RougeScore(r1=prf("r1"), r2=prf("r2"), rl=prf("rl"))
+    means = [t / n for t in totals]
+    return RougeScore(r1=PRF(*means[0:3]), r2=PRF(*means[3:6]), rl=PRF(*means[6:9]))
 
 
 def format_table(score: RougeScore) -> str:

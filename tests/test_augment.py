@@ -340,6 +340,42 @@ def test_sparse_rows_equal_the_dense_formula_byte_for_byte(case):
         assert row.tobytes() == dist.tobytes()
 
 
+def test_last_cue_wins_and_contexts_fall_back_in_order():
+    vocab = ["a", "b", "c", "d", "p", "q"]
+    table = {
+        ("c2", "p"): {"a": 100.0},
+        ("c1", "p"): {"b": 100.0},
+        (None, "p"): {"c": 100.0},
+        (None, ""): {"d": 100.0},
+    }
+    cues = {"c1", "c2"}
+    lm = CueBigramLM(vocab, table, cues=cues)
+    cases = [
+        (["c1", "x", "c2", "p"], "a"),  # (c2, p): the last cue wins
+        (["c2", "c1", "p"], "b"),  # (c1, p)
+        (["c1", "c2", "q", "p"], "a"),  # a cue need not be the previous token
+        (["c1", "x", "q"], "d"),  # (c1, q) and (None, q) unseen: (None, "")
+        (["p"], "c"),  # no cue: (None, p)
+        ([], "d"),  # empty prefix: (None, "")
+    ]
+    for prefix, top in cases:
+        dist = lm.next_token_distribution(prefix)
+        assert vocab[int(dist.argmax())] == top, prefix
+        assert dist.tobytes() == dense_reference_row(vocab, table, cues, prefix).tobytes()
+    # an unseen (cue, prev) falls back to (None, prev); a model without
+    # (None, "") ends at uniform
+    lm = CueBigramLM(vocab, {(None, "p"): {"c": 1.0}}, cues={"c3"})
+    assert vocab[int(lm.next_token_distribution(["c3", "p"]).argmax())] == "c"
+    assert lm.next_token_distribution(["c3", "q"]).tolist() == [1 / len(vocab)] * len(vocab)
+    # without cues, cue-keyed contexts are never reached
+    lm = CueBigramLM(vocab, table)
+    for prefix in (["c2", "p"], ["c1", "p"]):
+        assert vocab[int(lm.next_token_distribution(prefix).argmax())] == "c"
+        assert lm.next_token_distribution(prefix).tobytes() == (
+            dense_reference_row(vocab, table, set(), prefix).tobytes()
+        )
+
+
 def test_table_token_outside_the_vocabulary_is_rejected():
     with pytest.raises(ConfigurationError, match="'b' not in vocabulary"):
         CueBigramLM(["a"], {(None, "a"): {"a": 1.0, "b": 1.0}})

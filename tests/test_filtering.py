@@ -288,3 +288,91 @@ def test_file_embeddings_reject_bad_rows(tmp_path):
     with pytest.raises(ParseError) as exc:
         FileEmbedding(path)
     assert ":2" in str(exc.value)
+
+
+# The stack-normalize-matmul formula the embedder ran per call before it
+# kept one table of unit rows: stack each side's vectors (zeros for a token
+# without one), normalize the rows, multiply, then set the one-hot rows.
+def stacked_cosines(cand, ref, vectors, dim):
+    zero = np.zeros(dim)
+    c = np.stack([vectors.get(t, zero) for t in cand])
+    r = np.stack([vectors.get(t, zero) for t in ref])
+    c = c / np.maximum(np.linalg.norm(c, axis=1, keepdims=True), 1e-12)
+    r = r / np.maximum(np.linalg.norm(r, axis=1, keepdims=True), 1e-12)
+    sims = c @ r.T
+    for i, token in enumerate(cand):
+        if token not in vectors:
+            sims[i] = [token == other for other in ref]
+    return sims
+
+
+def stacked_f1(cand, ref, vectors, dim):
+    sims = stacked_cosines(cand, ref, vectors, dim)
+    p = float(sims.max(axis=1) @ np.ones(len(cand)) / len(cand))
+    r = float(sims.max(axis=0) @ np.ones(len(ref)) / len(ref))
+    return p, r, (0.0 if p + r == 0 else 2 * p * r / (p + r))
+
+
+@pytest.fixture(scope="module")
+def random_vectors(tmp_path_factory):
+    """700 tokens of 37-d vectors at scales from 1e-3 to 1e3, so the unit
+    table spans two normalization blocks and a partial third."""
+    rng = np.random.default_rng(7)
+    vectors = {
+        f"t{i}": rng.normal(size=37) * 10.0 ** rng.integers(-3, 4) for i in range(700)
+    }
+    path = tmp_path_factory.mktemp("random") / "v.txt"
+    path.write_text("".join(f"{t} {' '.join(map(repr, v.tolist()))}\n" for t, v in vectors.items()))
+    return FileEmbedding(path), vectors
+
+
+random_tokens = st.lists(
+    st.one_of(st.integers(0, 699).map(lambda i: f"t{i}"), st.sampled_from(["u0", "u1"])),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(random_tokens, random_tokens)
+def test_unit_table_equals_the_per_call_formula_exactly(random_vectors, cand, ref):
+    embedder, vectors = random_vectors
+    want = stacked_cosines(cand, ref, vectors, 37)
+    assert embedder.cosines(cand, ref).tobytes() == want.tobytes()
+    assert greedy_match_f1(cand, ref, embedder) == stacked_f1(cand, ref, vectors, 37)
+
+
+def test_a_token_listed_twice_keeps_its_last_vector(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("cpap 1.0 0.0\nvent 0.0 1.0\ncpap 0.0 2.0\n", encoding="utf-8")
+    emb = FileEmbedding(path)
+    assert emb.cosines(["cpap"], ["vent", "cpap"]).tolist() == [[1.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("cpap 1.0 2.0\nvent 1.0 zero\n", 2, "non-numeric vector component"),
+        ("cpap 0.0 -0.0\n", 1, "vector for 'cpap' is empty, non-finite or zero"),
+        ("cpap 1.0 2.0\n\nvent\n", 3, "vector for 'vent' is empty, non-finite or zero"),
+        ("cpap 1.0 nan\n", 1, "vector for 'cpap' is empty, non-finite or zero"),
+        ("cpap 1.0 2.0\nvent inf 1.0\n", 2, "vector for 'vent' is empty, non-finite or zero"),
+        ("cpap 1.0 1e400\n", 1, "vector for 'cpap' is empty, non-finite or zero"),
+        ("cpap 1.0 2.0\nvent 1.0\n", 2, "vector for 'vent' has dimension 1, expected 2"),
+        ("\n2 3\ncpap 1.0 2.0\n", 2, "header gives dimension 3, vectors have 2"),
+        ("cpap 1.0 2.0\nvent 1.0 nan 3.0\n", 2, "vector for 'vent' is empty, non-finite or zero"),
+    ],
+)
+def test_each_load_error_keeps_its_message_and_line(tmp_path, text, line, message):
+    path = tmp_path / "v.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        FileEmbedding(path)
+    assert str(exc.value) == f"{path}:{line}: {message}"
+    assert exc.value.line == line
+
+
+def test_a_file_of_blank_lines_and_a_header_has_no_vectors(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("\n3 2\n\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="contains no vectors"):
+        FileEmbedding(path)

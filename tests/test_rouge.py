@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -67,6 +68,98 @@ def test_lcs_matches_oracle_on_random_sequences():
         a = [rng.choice("abcde") for _ in range(rng.randint(0, 12))]
         b = [rng.choice("abcde") for _ in range(rng.randint(0, 12))]
         assert lcs_length(a, b) == lcs_oracle(a, b)
+
+
+long_sequences = st.lists(st.sampled_from("abc"), min_size=65, max_size=160)
+any_sequences = st.lists(st.sampled_from("abcd"), max_size=160)
+
+
+@given(long_sequences, any_sequences)
+def test_bit_parallel_lcs_equals_the_full_table_past_one_machine_word(a, b):
+    # heavy repeats over a 3-4 token alphabet, at least one side past 64
+    want = lcs_oracle(a, b)
+    assert lcs_length(a, b) == want
+    assert lcs_length(b, a) == want
+
+
+# The three-tokenization formulas ROUGE had before it shared one token list
+# per side: each metric re-tokenizes, n-grams are tuple slices clipped with
+# Counter &, and the LCS is the full table.
+def oracle_tokens(text, stemmer):
+    tokens = text.lower().split()
+    return [stemmer(t) for t in tokens] if stemmer is not None else tokens
+
+
+def oracle_rouge_n(candidate, reference, n, stemmer):
+    cand, ref = oracle_tokens(candidate, stemmer), oracle_tokens(reference, stemmer)
+    if len(cand) < n or len(ref) < n:
+        return PRF(0.0, 0.0, 0.0)
+    cand_grams = Counter(tuple(cand[i : i + n]) for i in range(len(cand) - n + 1))
+    ref_grams = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+    overlap = sum((cand_grams & ref_grams).values())
+    return PRF.from_counts(overlap, sum(cand_grams.values()), sum(ref_grams.values()))
+
+
+def oracle_rouge_l(candidate, reference, stemmer):
+    cand, ref = oracle_tokens(candidate, stemmer), oracle_tokens(reference, stemmer)
+    if not cand or not ref:
+        return PRF(0.0, 0.0, 0.0)
+    return PRF.from_counts(lcs_oracle(cand, ref), len(cand), len(ref))
+
+
+def oracle_score(candidate, reference, stemmer):
+    return (
+        oracle_rouge_n(candidate, reference, 1, stemmer),
+        oracle_rouge_n(candidate, reference, 2, stemmer),
+        oracle_rouge_l(candidate, reference, stemmer),
+    )
+
+
+def oracle_corpus(predictions, references, stemmer):
+    totals = {(m, c): 0.0 for m in range(3) for c in range(3)}
+    for pred, ref in zip(predictions, references):
+        for m, prf in enumerate(oracle_score(pred, ref, stemmer)):
+            for c in range(3):
+                totals[(m, c)] += prf[c]
+    n = len(predictions)
+    return tuple(PRF(*(totals[(m, c)] / n for c in range(3))) for m in range(3))
+
+
+# inflected words so simple_stem merges some; case and spacing vary; short
+# and empty texts are common
+summary_words = st.sampled_from(
+    ["copd", "COPD", "fails", "failed", "failing", "fail", "hr", "a", "the", "lasix", "s"]
+)
+summary_texts = st.lists(summary_words, max_size=30).flatmap(
+    lambda words: st.sampled_from([" ", "  ", "\n", " \t"]).map(lambda sep: sep.join(words))
+)
+stemmers = st.sampled_from([None, simple_stem])
+
+
+@given(summary_texts, summary_texts, stemmers)
+def test_one_tokenization_equals_the_three_tokenization_formulas(c, r, stemmer):
+    score = score_summary(c, r, stemmer)
+    assert (score.r1, score.r2, score.rl) == oracle_score(c, r, stemmer)
+    assert rouge_n(c, r, 1, stemmer) == score.r1
+    assert rouge_n(c, r, 2, stemmer) == score.r2
+    assert rouge_n(c, r, 3, stemmer) == oracle_rouge_n(c, r, 3, stemmer)
+    assert rouge_l(c, r, stemmer) == score.rl
+
+
+@given(st.lists(st.tuples(summary_texts, summary_texts), min_size=1, max_size=8), stemmers)
+def test_corpus_means_equal_the_three_tokenization_formulas(pairs, stemmer):
+    predictions, references = [p for p, _ in pairs], [r for _, r in pairs]
+    score = evaluate_corpus(predictions, references, stemmer)
+    assert (score.r1, score.r2, score.rl) == oracle_corpus(predictions, references, stemmer)
+
+
+def test_empty_and_short_sides_match_the_formulas():
+    for c, r in (("", ""), ("", "a b"), ("a", "a"), ("a", "a b"), ("a b", "b")):
+        for stemmer in (None, simple_stem):
+            score = score_summary(c, r, stemmer)
+            assert (score.r1, score.r2, score.rl) == oracle_score(c, r, stemmer)
+    assert score_summary("a", "a").r2 == PRF(0.0, 0.0, 0.0)
+    assert score_summary("", "a").rl == PRF(0.0, 0.0, 0.0)
 
 
 texts = st.lists(st.sampled_from("abcd"), min_size=1, max_size=10).map(" ".join)
