@@ -4,8 +4,8 @@ A source sentence is wrapped in an instruction for the target label (SAME
 THING) while the remaining labels act as counter instructions; at each
 decoding step the counter distributions are subtracted from the target
 distribution so the continuation fits only the intended instruction. The
-backbone is any object implementing :class:`LanguageModel`; a small
-cue-conditioned bigram model ships for tests and demos.
+backbone is :class:`CueBigramLM`, a small cue-conditioned bigram model;
+decoding needs only its ``vocabulary`` and ``next_token_distributions``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import logging
 import re
-from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
@@ -157,7 +156,7 @@ class GenerationConfig:
             problems.append(
                 f"max_output_tokens: must be >= 1, got {self.max_output_tokens}"
             )
-        if self.lam < 0:
+        if not self.lam >= 0:  # written so that NaN fails
             problems.append(f"lam: must be >= 0, got {self.lam}")
         if self.top_k is not None and self.top_k < 1:
             problems.append(f"top_k: must be >= 1, got {self.top_k}")
@@ -207,32 +206,7 @@ class GeneratedPair:
         return pair
 
 
-class LanguageModel(ABC):
-    """Next-token interface any generative backend must implement.
-
-    ``next_token_distribution`` returns a probability vector over
-    ``vocabulary()`` (non-negative, summing to 1 within 1e-9) given a
-    token prefix. Implementations must be safe for concurrent read-only
-    queries. Overriding ``next_token_distributions`` is optional: the
-    default stacks one ``next_token_distribution`` call per prefix.
-    """
-
-    @abstractmethod
-    def vocabulary(self) -> Sequence[str]: ...
-
-    @abstractmethod
-    def next_token_distribution(self, prefix: Sequence[str]) -> np.ndarray: ...
-
-    def next_token_distributions(self, prefixes: Sequence[Sequence[str]]) -> np.ndarray:
-        """One (len(prefixes), len(vocabulary())) matrix, a row per prefix."""
-        rows = [np.asarray(self.next_token_distribution(p), dtype=float) for p in prefixes]
-        shapes = {row.shape for row in rows}
-        if len(shapes) > 1:
-            raise BackendError(f"language model returned rows of shapes {sorted(shapes)}")
-        return np.stack(rows)
-
-
-class CueBigramLM(LanguageModel):
+class CueBigramLM:
     """Bigram toy model whose tables are switched by a cue word in the prefix.
 
     The transition table is keyed by (cue, previous token); the cue is the
@@ -274,11 +248,7 @@ class CueBigramLM(LanguageModel):
         self._uniform = (np.empty(0, dtype=np.intp), np.empty(0), 1.0 / len(self._vocab))
 
     @classmethod
-    def from_corpus(
-        cls,
-        sentences: Iterable[str],
-        cues: Iterable[str] = (),
-    ) -> "CueBigramLM":
+    def from_corpus(cls, sentences: Iterable[str]) -> "CueBigramLM":
         """Train a cue-free bigram table from whitespace-tokenized text.
 
         Contexts never seen in training (e.g. the instruction's final
@@ -301,7 +271,7 @@ class CueBigramLM(LanguageModel):
         table = {(None, prev): dict(nxts) for prev, nxts in counts.items()}
         # "" cannot be a real token; it keys the start-of-sentence row
         table[(None, "")] = dict(starts)
-        return cls(sorted(vocab), table, cues=cues)
+        return cls(sorted(vocab), table)
 
     def vocabulary(self) -> Sequence[str]:
         return self._vocab
@@ -324,7 +294,8 @@ class CueBigramLM(LanguageModel):
         return self.next_token_distributions([prefix])[0]
 
     def next_token_distributions(self, prefixes: Sequence[Sequence[str]]) -> np.ndarray:
-        """Prefixes that resolve to one context share one densified row."""
+        """One (len(prefixes), len(vocabulary())) matrix, a row per prefix;
+        prefixes that resolve to one context share one densified row."""
         out = np.empty((len(prefixes), len(self._vocab)))
         first: dict[int, int] = {}
         for i, prefix in enumerate(prefixes):
@@ -434,7 +405,7 @@ def _check_distributions(dists: np.ndarray, rows: int, vocab_size: int) -> np.nd
 
 
 def generate(
-    lm: LanguageModel,
+    lm: CueBigramLM,
     target_prompt: str,
     counter_prompts: Sequence[str],
     cfg: GenerationConfig,
@@ -484,44 +455,38 @@ def validate_terms(generated: str, required_terms: Sequence[str]) -> bool:
     return all(term.lower() in haystack for term in required_terms)
 
 
-COUNTER_LABELS = {
-    LabelId.SAME_THING: (LabelId.SOMEWHAT_SIMILAR, LabelId.DIFFERENT_TOPICS),
-    LabelId.SOMEWHAT_SIMILAR: (LabelId.SAME_THING, LabelId.DIFFERENT_TOPICS),
-    LabelId.DIFFERENT_TOPICS: (LabelId.SAME_THING, LabelId.SOMEWHAT_SIMILAR),
-}
+# The other two instructions steer the SAME_THING paraphrase by contrast.
+COUNTER_LABELS = (LabelId.SOMEWHAT_SIMILAR, LabelId.DIFFERENT_TOPICS)
 
 
 def generate_pair(
-    lm: LanguageModel,
+    lm: CueBigramLM,
     source: str,
     problem_list: str,
     templates: TemplateSet,
     cfg: GenerationConfig,
-    label: LabelId = LabelId.SAME_THING,
     doc_id: str = "",
     rng: Optional[np.random.Generator] = None,
 ) -> Optional[GeneratedPair]:
-    """Generate one candidate pair for a source sentence.
+    """Generate one SAME_THING candidate pair for a source sentence.
 
-    Returns None when the generation violates the term-preservation rule
-    for SAME_THING pairs; other labels have no required terms.
+    Returns None when the generation drops one of the selected terms.
     """
     terms = select_terms(source, problem_list)
     arity = len(terms)
-    target_prompt = instantiate_template(templates.get(label, arity), terms, source)
+    target_prompt = instantiate_template(templates.get(LabelId.SAME_THING, arity), terms, source)
     counter_prompts = [
         instantiate_template(templates.get(counter, arity), terms, source)
-        for counter in COUNTER_LABELS[label]
+        for counter in COUNTER_LABELS
     ]
     generated = generate(lm, target_prompt, counter_prompts, cfg, rng=rng)
-    required = terms if label is LabelId.SAME_THING else []
-    if not validate_terms(generated, required):
+    if not validate_terms(generated, terms):
         return None
     return GeneratedPair(
         source=source,
         generated=generated,
-        label=label,
-        required_terms=required,
+        label=LabelId.SAME_THING,
+        required_terms=terms,
         scores={},
         doc_id=doc_id,
     )
@@ -529,10 +494,9 @@ def generate_pair(
 
 def augment_notes(
     notes: Iterable,
-    lm: LanguageModel,
+    lm: CueBigramLM,
     templates: TemplateSet,
     cfg: GenerationConfig,
-    label: LabelId = LabelId.SAME_THING,
 ) -> Iterator[GeneratedPair]:
     """Candidate pairs for every assessment sentence of every note.
 
@@ -556,7 +520,6 @@ def augment_notes(
                 note.summary,
                 templates,
                 cfg,
-                label=label,
                 doc_id=note.doc_id,
                 rng=rng,
             )

@@ -48,7 +48,6 @@ class PipelineConfig:
     separator: Optional[str] = None
     umls_dict: Optional[str] = None
     i2b2_source: Optional[str] = None
-    i2b2_format: str = "auto"
     templates: Optional[str] = None
     mask: MaskPolicyConfig = field(default_factory=MaskPolicyConfig)
     annotation: corpus_mod.AnnotationConfig = field(default_factory=corpus_mod.AnnotationConfig)
@@ -66,15 +65,10 @@ class PipelineConfig:
             filtering.embedder_file(self.embedder)
         except ConfigurationError as exc:
             problems.extend(exc.problems)
-        if self.i2b2_format not in I2B2_FORMATS:
-            problems.append(
-                f"i2b2_format: must be auto, dict or standoff, got {self.i2b2_format!r}"
-            )
         if problems:
             raise ConfigurationError(*problems)
 
 
-I2B2_FORMATS = ("auto", "dict", "standoff")
 # The stage configs are the fields built by a factory; problems are
 # reported in their order.
 _STAGES = {
@@ -184,11 +178,9 @@ def _parse_weights(text: str) -> dict:
     return weights
 
 
-def _load_i2b2_source(path: str, fmt: str):
-    if fmt == "dict":
-        return load_dictionary(path, I2B2_CHANNEL)
-    if fmt == "standoff":
-        return StandoffIndex.load(path)
+def _load_i2b2_source(path: str):
+    """A standoff index if the first non-blank line holds a tab, otherwise
+    a term dictionary."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
@@ -217,7 +209,7 @@ def cmd_build_pretrain(args: argparse.Namespace) -> int:
         vars(args), args.config, required_paths=("umls_dict", "i2b2_source")
     )
     umls = load_dictionary(cfg.umls_dict, UMLS_CHANNEL)
-    i2b2 = _load_i2b2_source(cfg.i2b2_source, cfg.i2b2_format)
+    i2b2 = _load_i2b2_source(cfg.i2b2_source)
     stats = corpus_mod.CorpusStats()
     notes = _read_all_notes(args.input, stats=stats)
     examples, stats = corpus_mod.build_pretrain_corpus(
@@ -342,7 +334,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=int, help="global seed")
     _add_verbose(parser)
 
 
@@ -354,14 +345,13 @@ def _add_pretrain_args(parser: argparse.ArgumentParser):
     parser.add_argument("--input", required=True, help="notes file or directory (JSONL)")
     parser.add_argument("--umls-dict", help="term file, one per line")
     parser.add_argument("--i2b2-source", help="second channel: term file or standoff TSV")
-    parser.add_argument("--i2b2-format", choices=I2B2_FORMATS)
     parser.add_argument("--p-umls", type=float)
-    parser.add_argument("--p-i2b2", type=float)
     parser.add_argument("--p-sentence", type=float)
     parser.add_argument("--sentinel-format")
     parser.add_argument("--threshold", type=float, help="matcher similarity threshold")
     parser.add_argument("--max-window", type=int)
     parser.add_argument("--workers", type=int, help="worker processes")
+    parser.add_argument("--seed", type=int, help="masking seed")
     _add_common(parser)
     parser.set_defaults(func=cmd_build_pretrain)
 
@@ -388,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampling", dest="greedy", action="store_const", const=False,
                    help="sample instead of greedy decoding")
     p.add_argument("--top-k", type=int)
+    p.add_argument("--seed", type=int, help="decoding seed")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_augment)

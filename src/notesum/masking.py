@@ -13,7 +13,6 @@ the input reproduces the document byte-exactly.
 from __future__ import annotations
 
 import enum
-import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,24 +40,20 @@ class MaskKind(enum.Enum):
 class MaskPolicyConfig:
     """Masking probabilities, sentinel format, and the corpus seed.
 
-    ``p_umls`` and ``p_i2b2`` are the channel-choice probabilities when
-    both channels found entities and must sum to 1; ``p_sentence`` is the
-    whole-sentence mask rate for entity-free sentences.
+    ``p_umls`` is the probability of masking the UMLS channel when both
+    channels found entities; I2B2 takes the other 1 - p_umls.
+    ``p_sentence`` is the whole-sentence mask rate for entity-free
+    sentences.
     """
 
     p_umls: float = 0.7
-    p_i2b2: float = 0.3
     p_sentence: float = 0.15
     seed: int = 0
     sentinel_format: str = DEFAULT_SENTINEL_FORMAT
 
     def __post_init__(self):
         problems = []
-        if not math.isclose(self.p_umls + self.p_i2b2, 1.0, abs_tol=1e-9):
-            problems.append(
-                f"p_umls/p_i2b2: must sum to 1.0, got {self.p_umls + self.p_i2b2}"
-            )
-        for name in ("p_umls", "p_i2b2", "p_sentence"):
+        for name in ("p_umls", "p_sentence"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 problems.append(f"{name}: must be in [0, 1], got {value}")

@@ -12,7 +12,6 @@ from notesum.augment import (
     GenerationConfig,
     InstructionTemplate,
     LabelId,
-    LanguageModel,
     TemplateSet,
     augment_notes,
     generate,
@@ -48,13 +47,14 @@ def test_same_thing_template_must_keep_terms():
 
 
 def test_generation_config_reports_every_problem():
-    with pytest.raises(ConfigurationError) as exc:
-        GenerationConfig(max_output_tokens=0, lam=-1.0, top_k=0)
-    assert [p.split(":")[0] for p in exc.value.problems] == [
-        "max_output_tokens",
-        "lam",
-        "top_k",
-    ]
+    for lam in (-1.0, float("nan")):
+        with pytest.raises(ConfigurationError) as exc:
+            GenerationConfig(max_output_tokens=0, lam=lam, top_k=0)
+        assert [p.split(":")[0] for p in exc.value.problems] == [
+            "max_output_tokens",
+            "lam",
+            "top_k",
+        ]
 
 
 def test_default_prompt_instantiation_is_byte_exact():
@@ -279,19 +279,19 @@ def test_sampling_is_deterministic_under_a_seed():
 
 def test_broken_backend_is_reported():
     broken = (
-        lambda prefix: np.array([0.9, 0.9]),
-        lambda prefix: np.array([np.nan, np.nan]),
-        # a row length that depends on the prefix
-        lambda prefix: np.full(len(prefix) + 1, 1.0 / (len(prefix) + 1)),
+        lambda k: np.full((k, 2), 0.9),
+        lambda k: np.full((k, 2), np.nan),
+        # rows of three tokens over a two-token vocabulary
+        lambda k: np.full((k, 3), 1.0 / 3),
     )
-    for distribution in broken:
+    for distributions in broken:
 
-        class BadLM(LanguageModel):
+        class BadLM:
             def vocabulary(self):
                 return ["a", "b"]
 
-            def next_token_distribution(self, prefix):
-                return distribution(prefix)
+            def next_token_distributions(self, prefixes):
+                return distributions(len(prefixes))
 
         for greedy in (True, False):
             cfg = GenerationConfig(max_output_tokens=2, greedy=greedy)
@@ -456,7 +456,7 @@ def test_validate_terms_vacuous_without_terms():
     assert validate_terms("anything", [])
 
 
-class EchoLM(LanguageModel):
+class EchoLM:
     """Emits the tokens after 'Sentence 1:' in the prompt, then stops."""
 
     def __init__(self, vocab):
@@ -465,7 +465,7 @@ class EchoLM(LanguageModel):
     def vocabulary(self):
         return self._vocab
 
-    def next_token_distribution(self, prefix):
+    def _row(self, prefix):
         marker = [i for i, t in enumerate(prefix) if t == "1:"]
         emitted_after = prefix[prefix.index("2:") + 1 :] if "2:" in prefix else []
         dist = np.zeros(len(self._vocab))
@@ -478,6 +478,9 @@ class EchoLM(LanguageModel):
             token = "."
         dist[self._vocab.index(token)] = 1.0
         return dist
+
+    def next_token_distributions(self, prefixes):
+        return np.stack([self._row(p) for p in prefixes])
 
 
 def test_generate_pair_keeps_required_terms():

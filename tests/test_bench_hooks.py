@@ -1,0 +1,39 @@
+"""The benchmark's tracer wraps notesum functions by name; a rename or a
+deletion there must fail here, not only in a traced benchmark run."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs in a fresh interpreter so a half-applied patch set cannot leak into
+# the other tests.
+SCRIPT = """
+import sys
+sys.path.insert(0, "bench")
+import tracing
+from notesum import augment, corpus
+
+before = (augment.generate_pair, augment.segment_sentences, corpus.apply_mask,
+          augment.CueBigramLM.next_token_distribution)
+patches = tracing.install(tracing.Tracer())
+assert augment.generate_pair is not before[0]
+patches.restore()
+after = (augment.generate_pair, augment.segment_sentences, corpus.apply_mask,
+         augment.CueBigramLM.next_token_distribution)
+assert after == before, "restore left a wrapper in place"
+print("ok")
+"""
+
+
+def test_tracer_installs_and_restores_every_hook():
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -25,7 +26,6 @@ from conftest import I2B2_TERMS, UMLS_TERMS, make_note_text, write_lines, write_
 def test_defaults_carry_the_published_constants():
     cfg = parse_config()
     assert cfg.mask.p_umls == 0.7
-    assert cfg.mask.p_i2b2 == 0.3
     assert cfg.mask.p_sentence == 0.15
     assert cfg.filter.keep_fraction == 0.15
     assert cfg.generation.max_output_tokens == 40
@@ -42,10 +42,10 @@ def test_flags_override_config_file(tmp_path):
 
 def test_all_validation_errors_reported_at_once(tmp_path):
     with pytest.raises(ConfigurationError) as exc:
-        parse_config({"p_umls": 1.1, "p_i2b2": -0.1, "keep_fraction": 0.0})
+        parse_config({"p_umls": 1.1, "p_sentence": -0.1, "keep_fraction": 0.0})
     message = str(exc.value)
     assert "p_umls" in message
-    assert "p_i2b2" in message
+    assert "p_sentence" in message
     assert "keep_fraction" in message
 
 
@@ -65,12 +65,16 @@ def test_cli_owned_settings_are_checked_with_the_stage_configs():
         assert f"{name}:" in message
 
 
-def test_unknown_config_key_is_an_error(tmp_path):
+def test_unknown_config_key_is_an_error(tmp_path, caplog):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"probability": 0.7}), encoding="utf-8")
-    with pytest.raises(ConfigurationError) as exc:
-        parse_config(None, str(config))
-    assert "probability" in str(exc.value)
+    # p_i2b2 is 1 - p_umls and the i2b2 format is read off the file
+    for key, value in (("probability", 0.7), ("p_i2b2", 0.3), ("i2b2_format", "dict")):
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(None, str(config))
+        assert f"{key}: unknown config key" in str(exc.value)
+        assert main(["assemble", "--config", str(config), "--notes", "n.jsonl",
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
 def test_missing_required_path_is_reported():
@@ -94,7 +98,6 @@ WRONG_TYPES = {
     "seed": (1.5, "an integer"),
     "workers": ("2", "an integer"),
     "p_umls": ("0.7", "a number"),
-    "p_i2b2": (True, "a number"),
     "p_sentence": (None, "a number"),
     "sentinel_format": (5, "a string"),
     "threshold": ("x", "a number"),
@@ -111,14 +114,13 @@ WRONG_TYPES = {
     "separator": (3, "a string or null"),
     "umls_dict": (5, "a string or null"),
     "i2b2_source": (["a"], "a string or null"),
-    "i2b2_format": (None, "a string"),
     "templates": ({}, "a string or null"),
 }
 
 
 def test_config_keys_are_the_stage_fields_and_the_cli_settings():
     assert set(KEY_TYPES) == set(WRONG_TYPES)
-    assert len(KEY_TYPES) == 22
+    assert len(KEY_TYPES) == 20
 
 
 def test_each_config_key_reaches_its_config(tmp_path):
@@ -126,7 +128,6 @@ def test_each_config_key_reaches_its_config(tmp_path):
     expected = {
         "seed": (9, ["mask", "generation"]),
         "p_umls": (0.6, ["mask"]),
-        "p_i2b2": (0.4, ["mask"]),
         "p_sentence": (0.25, ["mask"]),
         "sentinel_format": ("[M{i}]", ["mask"]),
         "threshold": (0.8, ["annotation"]),
@@ -144,7 +145,6 @@ def test_each_config_key_reaches_its_config(tmp_path):
         "separator": (" | ", [None]),
         "umls_dict": ("u.txt", [None]),
         "i2b2_source": ("i.txt", [None]),
-        "i2b2_format": ("dict", [None]),
         "templates": ("tpl", [None]),
     }
     assert set(expected) == set(KEY_TYPES)
@@ -339,18 +339,27 @@ def test_standoff_i2b2_source_is_autodetected(workspace):
     assert code == EXIT_OK
 
 
+# sha256 of the corpus `--p-umls 0.6 --p-i2b2 0.4 --seed 3` wrote on the
+# workspace notes when the I2B2 probability was a setting of its own
+P_UMLS_06_CORPUS = "08e69d49e49512a1a22b3561f0f2540af3234094f225ac2f7617b1aeff3bef45"
+
+
 def test_invalid_probability_flag_exits_config(workspace):
-    code = main(
-        [
-            "build-pretrain",
-            "--input", str(workspace["notes"]),
-            "--umls-dict", str(workspace["umls"]),
-            "--i2b2-source", str(workspace["i2b2"]),
-            "--p-umls", "1.1",
-            "--out", str(workspace["dir"] / "x.jsonl"),
-        ]
-    )
-    assert code == EXIT_CONFIG
+    out = workspace["dir"] / "x.jsonl"
+    args = [
+        "build-pretrain",
+        "--input", str(workspace["notes"]),
+        "--umls-dict", str(workspace["umls"]),
+        "--i2b2-source", str(workspace["i2b2"]),
+        "--seed", "3",
+        "--out", str(out),
+    ]
+    assert main(args + ["--p-umls", "1.1"]) == EXIT_CONFIG
+    # I2B2 takes 1 - p_umls, and the source's format is read off the file
+    for removed in (["--p-i2b2", "0.4"], ["--i2b2-format", "dict"]):
+        assert main(args + ["--p-umls", "0.6", *removed]) == EXIT_CONFIG
+    assert main(args + ["--p-umls", "0.6"]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == P_UMLS_06_CORPUS
 
 
 def test_missing_dictionary_path_exits_config(workspace):
@@ -409,6 +418,9 @@ def test_evaluate_takes_no_config_or_seed(tmp_path):
 def test_workers_is_a_usage_error_outside_build_pretrain_and_stats(args, capsys):
     assert main(args + ["--workers", "2"]) == EXIT_CONFIG
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    if args[0] in ("filter", "assemble"):  # no stage they run reads a seed
+        assert main(args + ["--seed", "3"]) == EXIT_CONFIG
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 SECTION_NOTE = {"doc_id": "s1", "assessment": "pt on cpap .", "subjective": "s",

@@ -64,9 +64,10 @@ def annotated(text, umls=(), i2b2=(), index=0, start=0):
 # config
 
 
-def test_channel_probabilities_must_sum_to_one():
-    with pytest.raises(ConfigurationError):
-        MaskPolicyConfig(p_umls=0.7, p_i2b2=0.4)
+def test_channel_probability_range_checked():
+    for p_umls in (1.1, -0.1, float("nan")):
+        with pytest.raises(ConfigurationError, match="p_umls: must be in"):
+            MaskPolicyConfig(p_umls=p_umls)
 
 
 def test_sentence_probability_range_checked():
@@ -309,15 +310,15 @@ def test_different_seeds_change_the_masking(umls_dict, i2b2_dict):
 
 
 def test_channel_choice_rate_near_point_seven():
-    cfg = MaskPolicyConfig()
-    rng = np.random.default_rng(2024)
     sentence = annotated("a b c d", umls=[(0, 1)], i2b2=[(2, 3)])
     n = 2000
-    umls_picks = sum(
-        choose_mask_source(sentence, cfg, rng).kind is MaskKind.MASK_UMLS_SPANS
-        for _ in range(n)
-    )
-    assert 0.66 <= umls_picks / n <= 0.74
+    for cfg in (MaskPolicyConfig(), MaskPolicyConfig(p_umls=0.6)):
+        rng = np.random.default_rng(2024)
+        umls_picks = sum(
+            choose_mask_source(sentence, cfg, rng).kind is MaskKind.MASK_UMLS_SPANS
+            for _ in range(n)
+        )
+        assert cfg.p_umls - 0.04 <= umls_picks / n <= cfg.p_umls + 0.04
 
 
 def test_whole_sentence_rate_near_point_fifteen():
