@@ -5,14 +5,17 @@ matched by character-trigram Jaccard over token windows, and a second
 channel that is either another dictionary or a standoff file of
 precomputed NER spans. Similarity is the Jaccard of character-trigram
 multisets; an index from each (trigram, occurrence) key to its entries
-gives a window's exact overlap with every entry in one numpy count.
+gives a window's exact overlap with every entry, kept as one running
+count per window start.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -73,11 +76,14 @@ class TermDictionary:
     """Normalized term vocabulary with an exact trigram-multiset index.
 
     Entries are deduplicated normalized strings; normalization (lowercasing,
-    whitespace collapse) happens exactly once, at load time. The index maps
-    each key ``(gram, k)``, the k-th occurrence of a trigram, to the entries
-    holding at least k copies of that gram. A window's multiset overlap with
-    an entry is then the number of the window's keys whose posting list
-    holds the entry. Posting lists become int arrays on their first lookup.
+    whitespace collapse) happens exactly once, at load time. Entries are
+    numbered in order of gram count, so the entries of any size range hold
+    one run of ids. The index maps each key ``(gram, k)``, the k-th
+    occurrence of a trigram, to the entries holding at least k copies of
+    that gram; ``(gram, 1)`` keys are stored by the gram alone. A window's
+    multiset overlap with an entry is then the number of the window's keys
+    whose posting list holds the entry. Posting lists become int arrays on
+    their first lookup.
     """
 
     def __init__(self, terms: Sequence[str], name: str):
@@ -85,10 +91,9 @@ class TermDictionary:
         if not entries:
             raise ConfigurationError(f"dictionary {name!r} has no entries")
         self.name = name
-        self.entry_texts: tuple[str, ...] = tuple(entries)
-        self._exact: dict[str, int] = {t: i for i, t in enumerate(self.entry_texts)}
-        # Nearly every gram occurs once per entry: collect those postings by
-        # gram and key them (gram, 1) at the end, so the build hashes few tuples.
+        # the gram count never falls as the length grows
+        self.entry_texts: tuple[str, ...] = tuple(sorted(entries, key=len))
+        self._exact = frozenset(self.entry_texts)
         firsts: dict[str, list[int]] = defaultdict(list)
         repeats: dict[tuple[str, int], list[int]] = defaultdict(list)
         for i, text in enumerate(self.entry_texts):
@@ -97,23 +102,33 @@ class TermDictionary:
                 if count > 1:
                     for k in range(2, count + 1):
                         repeats[gram, k].append(i)
-        self._index: dict[tuple[str, int], Union[list[int], np.ndarray]] = {
-            (gram, 1): ids for gram, ids in firsts.items()
-        }
-        self._index.update(repeats)
-        self._sizes = np.array([_gram_count(t) for t in self.entry_texts])
+        self._firsts: dict[str, Union[list[int], np.ndarray]] = dict(firsts)
+        self._repeats: dict[tuple[str, int], Union[list[int], np.ndarray]] = dict(repeats)
+        self._size_list = list(map(_gram_count, self.entry_texts))
+        self._sizes = np.array(self._size_list)
 
     def __len__(self) -> int:
         return len(self.entry_texts)
 
-    def best_among(self, window: str, postings: np.ndarray, threshold: float) -> float:
+    def best_among(self, window: str, overlap: np.ndarray, threshold: float) -> float:
         """Best Jaccard of ``window`` against every entry, or 0.0 when nothing
-        reaches ``threshold``. ``postings`` concatenates the posting lists of
-        the window's indexed keys, so each entry occurs in it exactly as often
-        as it shares a trigram with the window."""
-        overlap = np.bincount(postings)
-        sims = overlap / (_gram_count(window) + self._sizes[: len(overlap)] - overlap)
-        best = float(sims.max())
+        reaches ``threshold``. ``overlap[i]`` is the number of trigrams the
+        window shares with entry ``i``, counted with multiplicity.
+
+        Jaccard is at most ``min(n, s) / max(n, s)`` for gram counts ``n``
+        and ``s``, and at most ``overlap / n``, so only entries with ``s`` in
+        ``[t·n, n/t]`` and an overlap of at least ``t·n`` can reach ``t``.
+        Each bound is widened by one gram, so a float rounding of ``t·n``
+        or of the quotient can never drop a match, and only those entries
+        are scored."""
+        n = _gram_count(window)
+        floor = threshold * n - 1
+        lo = bisect_left(self._size_list, floor)
+        hi = bisect_right(self._size_list, n / threshold + 1)
+        feasible = overlap[lo:hi]
+        if hi == lo or feasible.max() <= floor:
+            return 0.0
+        best = float((feasible / (n + self._sizes[lo:hi] - feasible)).max())
         return best if best >= threshold else 0.0
 
 
@@ -128,7 +143,7 @@ def load_dictionary(path: Union[str, Path], channel: str) -> TermDictionary:
     Duplicate terms (after normalization) collapse to one entry; an empty
     file is a configuration error, an unreadable one an I/O error.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         terms = [line.strip() for line in fh]
     terms = [t for t in terms if t]
     if not terms:
@@ -157,16 +172,20 @@ def annotate(
     """Scan every token window of length 1..max_window against the
     dictionary and keep windows scoring >= threshold, overlap-resolved.
 
-    Windows grow one token at a time per start position. A window that is
+    The lowercased words are joined once, so window ``[i, j)`` is the slice
+    ``text[starts[i]:starts[j] - 1]`` and its grams are those at the
+    positions from ``starts[i]`` on. A 1-2 character window's one gram is
+    the whole string, so it matches only an equal entry. A window that is
     itself an entry scores 1.0 at once, and at threshold 1.0 that is the
-    only way to match. Below 1.0 each window's trigram keys are kept: an
-    extension adds only the keys of the grams it introduces, the two
-    junction grams and the ``" " + token`` grams found once per token. A
-    1-2 character window's one gram is the whole string, which the next
-    extension drops, so that extension starts its keys afresh. Each key
-    adds at most 1 to the overlap with any entry, so a window with fewer
-    indexed keys than ``threshold`` times its gram count cannot match and
-    is skipped; ``best_among`` scores the rest against every entry.
+    only way to match. Below 1.0 each position's ``(gram, 1)`` posting is
+    looked up once per sentence; a gram that recurs in the sentence is keyed
+    ``(gram, k)`` by its k-th occurrence from the start, so those positions
+    are looked up again per start. An extension's new keys are then one
+    slice. Each key adds at most 1 to the overlap with any entry, so a
+    window with fewer indexed keys than ``threshold`` times its gram count
+    is skipped. Otherwise the start's running overlap vector takes the
+    postings not yet counted, and ``best_among`` scores the entries whose
+    gram count can reach the threshold.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
@@ -176,38 +195,49 @@ def annotate(
         return []
     words = [t.text.lower() for t in tokens]
     n = len(words)
+    text = " ".join(words)
+    starts = [0, *accumulate(len(w) + 1 for w in words)]
     approximate = threshold < 1.0
     exact_entries = dictionary._exact
-    index = dictionary._index
-    tails: dict[str, list[str]] = {}
     if approximate:
-        for w in words:
-            grams = char_trigrams(" " + w) if len(w) >= 2 else {}
-            tails[w] = [g for g, c in grams.items() if (g, 1) in index for _ in range(c)]
+        firsts, repeats = dictionary._firsts, dictionary._repeats
+        grams = [text[p : p + 3] for p in range(len(text) - 2)]
+        postings = [firsts.get(gram) for gram in grams]
+        for p, posting in enumerate(postings):
+            if type(posting) is list:
+                postings[p] = firsts[grams[p]] = np.array(posting, dtype=np.intp)
+        occurrences = Counter(grams)
+        recurring = [p for p, gram in enumerate(grams) if occurrences[gram] > 1]
     spans: list[EntitySpan] = []
     for i in range(n):
-        window = ""
-        for j in range(i + 1, min(i + max_window, n) + 1):
-            tok = words[j - 1]
-            restart = len(window) < 3
-            if approximate and not restart:
-                new_grams = [window[-2:] + " ", window[-1] + " " + tok[0], *tails[tok]]
-            window = window + " " + tok if window else tok
+        a = starts[i]
+        last = min(i + max_window, n)
+        if approximate:
+            keys = postings[a : max(a, starts[last] - 3)]
+            seen: dict[str, int] = {}
+            for p in recurring[bisect_left(recurring, a) : bisect_left(recurring, a + len(keys))]:
+                gram = grams[p]
+                k = seen[gram] = seen.get(gram, 0) + 1
+                if k > 1:
+                    posting = keys[p - a] = repeats.get((gram, k))
+                    if type(posting) is list:
+                        keys[p - a] = repeats[gram, k] = np.array(posting, dtype=np.intp)
+            hits: list[np.ndarray] = []
+            added = 0
+            size = 0
+        for j in range(i + 1, last + 1):
+            window = text[a : starts[j] - 1]
             score = 1.0 if window in exact_entries else 0.0
-            if approximate:
-                if restart:
-                    counts: dict[str, int] = {}
-                    hits: list[np.ndarray] = []
-                    new_grams = [g for g, c in char_trigrams(window).items() for _ in range(c)]
-                for gram in new_grams:
-                    k = counts[gram] = counts.get(gram, 0) + 1
-                    posting = index.get((gram, k))
-                    if posting is not None:
-                        if type(posting) is list:
-                            posting = index[gram, k] = np.array(posting, dtype=np.intp)
-                        hits.append(posting)
-                if score == 0.0 and len(hits) / _gram_count(window) >= threshold:
-                    score = dictionary.best_among(window, np.concatenate(hits), threshold)
+            if approximate and len(window) >= 3:
+                grown, size = size, len(window) - 2
+                hits += [posting for posting in keys[grown:size] if posting is not None]
+                if score == 0.0 and len(hits) / size >= threshold:
+                    if not added:
+                        overlap = np.zeros(len(dictionary), dtype=np.intp)
+                    if added < len(hits):
+                        np.add.at(overlap, np.concatenate(hits[added:]), 1)
+                        added = len(hits)
+                    score = dictionary.best_among(window, overlap, threshold)
             if score >= threshold:
                 surface = " ".join(t.text for t in tokens[i:j])
                 spans.append(EntitySpan(i, j, surface, dictionary.name, score))
@@ -228,7 +258,7 @@ class StandoffIndex:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "StandoffIndex":
         records: dict[tuple[str, int], list[tuple[int, int, str]]] = defaultdict(list)
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:

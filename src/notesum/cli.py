@@ -131,7 +131,7 @@ def parse_config(
     errors: list[str] = []
     if config_path is not None:
         try:
-            with open(config_path, encoding="utf-8") as fh:
+            with open(config_path, encoding="utf-8-sig") as fh:
                 file_values = json.load(fh)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config file: {exc}") from None
@@ -181,7 +181,7 @@ def _parse_weights(text: str) -> dict:
 def _load_i2b2_source(path: str):
     """A standoff index if the first non-blank line holds a tab, otherwise
     a term dictionary."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             if line.strip():
                 return (
@@ -296,7 +296,7 @@ def _read_eval_file(path: str) -> list[str]:
     """JSON lines, each object's first ``text``/``target``/``input``
     string, if the first non-blank line starts with ``{``; otherwise one
     text per non-blank line."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if lines and lines[0].lstrip().startswith("{"):
         return list(read_jsonl(path, _eval_text))

@@ -55,7 +55,7 @@ class FileEmbedding:
         values = array("d")
         dim: Optional[int] = None
         header: Optional[tuple[int, int]] = None
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts:

@@ -30,7 +30,7 @@ def read_jsonl(
     ParseError. It is raised, or, when ``on_error`` is given, passed to
     it and the line skipped.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -33,7 +33,8 @@ def normalize(text: str) -> str:
 def char_trigrams(text: str) -> dict[str, int]:
     """Multiset of character trigrams as gram -> count; strings shorter
     than 3 chars contribute themselves as a single gram. A plain dict loop:
-    the matcher calls this per window, and Counter is slower on short text."""
+    the matcher's index build calls this once per entry and the trigram
+    scorer twice per pair, and Counter is slower on short text."""
     if len(text) < 3:
         return {text: 1}
     counts: dict[str, int] = {}

@@ -78,6 +78,15 @@ def test_load_single_token_term(tmp_path):
     assert d.entry_texts == ("cpap",)
 
 
+def test_load_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "dict.txt"
+    path.write_text("\ufeffheart failure\ncpap\n", encoding="utf-8")
+    d = load_dictionary(path, UMLS_CHANNEL)
+    assert sorted(d.entry_texts) == ["cpap", "heart failure"]
+    spans = annotate(tokenize("has heart failure today"), d, threshold=1.0)
+    assert [(s.start, s.end) for s in spans] == [(1, 3)]
+
+
 def test_load_empty_file_is_a_configuration_error(tmp_path):
     path = tmp_path / "dict.txt"
     path.write_text("", encoding="utf-8")
@@ -183,6 +192,9 @@ VOCAB = ["pt", "on", "cpap", "heart", "failure", "renal", "noted", "sat",
          "abcabc", "aa", "abab"]
 
 
+THRESHOLDS = (0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 1.0)
+
+
 def spans_of(tokens, d, threshold, max_window):
     return [(s.start, s.end, s.score) for s in annotate(tokens, d, threshold, max_window)]
 
@@ -199,7 +211,7 @@ def test_annotate_agrees_with_bruteforce_oracle(data):
     d = TermDictionary(sorted(entries), UMLS_CHANNEL)
     words = [rng.choice(VOCAB) for _ in range(rng.randint(1, 10))]
     tokens = tokenize(" ".join(words))
-    for threshold in (0.5, 0.7, 1.0):
+    for threshold in THRESHOLDS:
         # exact equality: the benchmark's brute-force check compares scores exactly
         assert spans_of(tokens, d, threshold, max_window) == oracle_annotate(
             words, entries, threshold, max_window
@@ -216,10 +228,10 @@ def test_annotate_agrees_with_bruteforce_oracle_on_a_large_dictionary():
     for _ in range(4):
         words = [rng.choice(vocab) for _ in range(10)]
         tokens = tokenize(" ".join(words))
-        for threshold in (0.5, 0.7):
+        for threshold in THRESHOLDS[:-1]:
             want = oracle_annotate(words, entries, threshold, 4)
             assert spans_of(tokens, d, threshold, 4) == want
-            assert want  # near matches are common in this vocabulary
+            assert want or threshold > 0.7  # near matches are common in this vocabulary
 
 
 def test_annotate_drops_a_short_windows_whole_string_gram_when_it_grows():
@@ -227,6 +239,64 @@ def test_annotate_drops_a_short_windows_whole_string_gram_when_it_grows():
     # stale key for the one-character window "a" would score it 1.0
     d = TermDictionary(["a"], UMLS_CHANNEL)
     assert spans_of(tokenize("a a"), d, 0.5, 2) == [(0, 1, 1.0), (1, 2, 1.0)]
+
+
+# (threshold, sentence, entry): the entry's gram count is exactly t·n or
+# n/t for the window's n grams, and the match's Jaccard is exactly t
+EXACT_THRESHOLD_CASES = [
+    (0.75, "abcde", "abcdef"),  # n 3, s 4 = n/t, overlap 3
+    (0.75, "abcdef", "abcde"),  # n 4, s 3 = t·n, overlap 3 = t·n
+    (0.6, "abcdefg", "abcde"),  # n 5, s 3 = t·n
+    (0.8, "abcdef", "abcdefg"),  # n 4, s 5 = n/t
+    (0.7, "abcdefghijkl", "abcdefghi"),  # n 10, s 7 = t·n
+    (0.9, "abcdefghijkl", "abcdefghijk"),  # n 10, s 9 = t·n
+    (0.5, "abab", "ababab"),  # n 2, s 4 = n/t; the entry holds each gram twice
+    (0.5, "x ababab", "abab"),  # n 4 from the second start, s 2 = t·n
+]
+
+
+@pytest.mark.parametrize("threshold, sentence, entry", EXACT_THRESHOLD_CASES)
+def test_annotate_keeps_a_match_whose_jaccard_is_exactly_the_threshold(threshold, sentence, entry):
+    want = oracle_annotate(sentence.split(), {entry}, threshold, 6)
+    assert spans_of(tokenize(sentence), TermDictionary([entry], UMLS_CHANNEL), threshold, 6) == want
+    assert [score for *_, score in want] == [threshold]
+
+
+@pytest.mark.parametrize("sentence, entries", [
+    # the same gram recurs within and across words, so a window's k-th
+    # copy of a gram depends on where the window starts
+    ("abab abab ab", ["abab abab", "bab ab", "abab ab", "ab abab", "ababab"]),
+    ("aaaa aaa aaaa a aaaa", ["aaaa aaaa", "aaa aaaa", "aaaaaa", "a aaaa"]),
+    ("abc abc abc abc", ["abc abc", "abc abc abc", "bc abc ab"]),
+    # 1-2 character tokens between longer ones
+    ("heart a failure o2 sat ab drifts", ["heart failure", "heart a fail", "o2 sat", "a failure", "sat drifts"]),
+    ("pt on a b cpap x y renal", ["a b cpap", "on a", "b cpap x", "cpap", "x y renal"]),
+])
+def test_annotate_agrees_with_oracle_on_repeated_grams_and_short_tokens(sentence, entries):
+    words = sentence.split()
+    d = TermDictionary(entries, UMLS_CHANNEL)
+    found = False
+    for threshold in THRESHOLDS:
+        for max_window in (1, 3, 6):
+            want = oracle_annotate(words, set(entries), threshold, max_window)
+            assert spans_of(tokenize(sentence), d, threshold, max_window) == want
+            found = found or bool(want)
+    assert found
+
+
+def test_annotate_spans_do_not_depend_on_the_input_order_of_terms():
+    rng = random.Random(23)
+    terms = [" ".join(rng.choice(VOCAB) for _ in range(rng.randint(1, 3))) for _ in range(60)]
+    texts = [" ".join(rng.choice(VOCAB) for _ in range(10)) for _ in range(8)]
+    d = TermDictionary(terms, UMLS_CHANNEL)
+    want = [[spans_of(tokenize(t), d, threshold, 6) for t in texts] for threshold in THRESHOLDS]
+    assert any(any(row) for row in want)
+    for _ in range(3):
+        rng.shuffle(terms)
+        shuffled = TermDictionary(terms, UMLS_CHANNEL)
+        assert sorted(shuffled.entry_texts) == sorted(d.entry_texts)
+        assert [[spans_of(tokenize(t), shuffled, threshold, 6) for t in texts]
+                for threshold in THRESHOLDS] == want
 
 
 def test_annotate_is_repeatable_and_survives_pickling_a_used_dictionary():
@@ -334,6 +404,12 @@ def test_standoff_span_past_sentence_end_is_dropped(umls_dict, tmp_path):
         "pt on cpap", umls_dict, index, doc_id="doc-1", sentence_index=0
     )
     assert annotated.i2b2_spans == []
+
+
+def test_standoff_skips_a_byte_order_mark(tmp_path):
+    standoff = tmp_path / "spans.tsv"
+    standoff.write_text("\ufeffdoc-1\t0\t2\t4\tproblem\n", encoding="utf-8")
+    assert StandoffIndex.load(standoff).spans_for("doc-1", 0, 5) == [(2, 4, "problem")]
 
 
 def test_standoff_rejects_malformed_lines(tmp_path):

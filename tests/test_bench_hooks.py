@@ -28,12 +28,45 @@ print("ok")
 """
 
 
-def test_tracer_installs_and_restores_every_hook():
+# A wrapper on a name the pipeline no longer calls would read 0 without
+# failing anything, so the matcher's counters are checked for life.
+MATCHER_SCRIPT = """
+import sys
+sys.path.insert(0, "bench")
+import tracing
+from notesum import annotation
+from notesum.text import tokenize
+
+tracer = tracing.Tracer()
+patches = tracing.install(tracer)
+try:
+    d = annotation.TermDictionary(
+        ["heart failure", "renal failure", "atrial fibrillation"], annotation.UMLS_CHANNEL)
+    spans = [annotation.annotate(tokenize(s), d) for s in
+             ("worsening heart failures overnight", "renal failur noted", "new atrial fibrilation")]
+finally:
+    patches.restore()
+assert all(spans), spans
+assert tracer.calls["annotation.best_among"] > 0, tracer.calls
+assert tracer.counts["annotation.windows_scored"] > 0, tracer.counts
+print("ok")
+"""
+
+
+def run_script(script):
     result = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
+
+
+def test_tracer_installs_and_restores_every_hook():
+    run_script(SCRIPT)
+
+
+def test_traced_matcher_counts_the_windows_it_scores():
+    run_script(MATCHER_SCRIPT)

@@ -339,6 +339,36 @@ def test_standoff_i2b2_source_is_autodetected(workspace):
     assert code == EXIT_OK
 
 
+def test_a_byte_order_mark_on_any_input_changes_no_output(workspace):
+    d = workspace["dir"]
+    config = d / "cfg.json"
+    config.write_text(json.dumps({"p_sentence": 0.2}), encoding="utf-8")
+    standoff = write_lines(d / "standoff.tsv", ["n000\t0\t0\t2\tproblem"])
+    pred = write_lines(d / "pred.txt", ["the cat sat", "on the mat"])
+
+    def outputs(tag, wrap):
+        written = []
+        for source in (workspace["i2b2"], standoff):
+            out = d / f"corpus-{tag}-{source.stem}.jsonl"
+            assert main(["build-pretrain", "--input", wrap(workspace["notes"]),
+                         "--umls-dict", wrap(workspace["umls"]), "--i2b2-source", wrap(source),
+                         "--config", wrap(config), "--seed", "3", "--out", str(out)]) == EXIT_OK
+            written.append(out.read_bytes())
+        scores = d / f"scores-{tag}.json"
+        assert main(["evaluate", "--pred", wrap(pred), "--ref", str(pred), "--out", str(scores)]) == EXIT_OK
+        return [*written, scores.read_bytes()]
+
+    def with_bom(path):
+        copy = d / f"bom-{path.name}"
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return str(copy)
+
+    plain = outputs("plain", str)
+    assert len(plain[0].splitlines()) == 25
+    assert json.loads(plain[2])["r1"]["f1"] == 1.0
+    assert outputs("bom", with_bom) == plain
+
+
 # sha256 of the corpus `--p-umls 0.6 --p-i2b2 0.4 --seed 3` wrote on the
 # workspace notes when the I2B2 probability was a setting of its own
 P_UMLS_06_CORPUS = "08e69d49e49512a1a22b3561f0f2540af3234094f225ac2f7617b1aeff3bef45"

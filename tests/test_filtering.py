@@ -74,6 +74,12 @@ def write_vectors(path, rows):
     return path
 
 
+def test_vector_file_header_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("\ufeff2 2\nab 1 0\ncd 0 1\n", encoding="utf-8")
+    assert FileEmbedding(path).cosines(["ab", "cd"], ["ab"]).tolist() == [[1.0], [0.0]]
+
+
 @pytest.fixture(scope="module")
 def basis_vectors(tmp_path_factory):
     """A vector file of explicit one-hot vectors over the vocabulary a-h."""

@@ -25,3 +25,9 @@ def test_write_then_read_round_trips_byte_for_byte(tmp_path_factory, records):
         json.dumps(r, ensure_ascii=False) + "\n" for r in records
     ).encode("utf-8")
     assert list(read_jsonl(path, parse=dict)) == records
+
+
+def test_a_byte_order_mark_keeps_the_first_record(tmp_path):
+    path = tmp_path / "notes.jsonl"
+    path.write_text('\ufeff{"doc_id": "a"}\n{"doc_id": "b"}\n', encoding="utf-8")
+    assert list(read_jsonl(path, parse=dict)) == [{"doc_id": "a"}, {"doc_id": "b"}]
