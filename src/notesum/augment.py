@@ -31,7 +31,6 @@ log = logging.getLogger(__name__)
 TERM_1 = "[Term 1]"
 TERM_2 = "[Term 2]"
 SOURCE = "[Source]"
-CONTINUATION_MARKER = "Sentence 2:"
 _PLACEHOLDER_RE = re.compile("|".join(re.escape(p) for p in (TERM_1, TERM_2, SOURCE)))
 
 STOP_PUNCTUATION = (".", "!", "?")
@@ -48,10 +47,13 @@ class LabelId(enum.Enum):
 
     @classmethod
     def from_value(cls, value: float) -> "LabelId":
-        for label in cls:
-            if label.value == float(value):
-                return label
-        raise DataError(f"unknown label value {value!r}; expected 1, 0.5 or 0")
+        """The label whose value equals a JSON number; a bool, a string or
+        any other number is a DataError."""
+        if is_number(value):
+            for label in cls:
+                if label.value == value:
+                    return label
+        raise DataError(f"unknown label value {value!r}; expected the number 1, 0.5 or 0")
 
 
 @dataclass(frozen=True)
@@ -62,21 +64,6 @@ class InstructionTemplate:
     label: LabelId
     text: str
 
-    def __post_init__(self):
-        if not self.text.rstrip().endswith(CONTINUATION_MARKER):
-            raise ConfigurationError(
-                f"template for label {self.label.name} must end with "
-                f"{CONTINUATION_MARKER!r}"
-            )
-        if SOURCE not in self.text:
-            raise ConfigurationError(
-                f"template for label {self.label.name} is missing {SOURCE}"
-            )
-        if self.label is LabelId.SAME_THING and self.arity() and "keep" not in self.text.lower():
-            raise ConfigurationError(
-                "the SAME_THING template must instruct the model to keep its terms"
-            )
-
     def arity(self) -> int:
         return int(TERM_1 in self.text) + int(TERM_2 in self.text)
 
@@ -84,52 +71,26 @@ class InstructionTemplate:
 class TemplateSet:
     """Templates indexed by (label, number of required terms).
 
-    The packaged ``templates/`` directory provides editable defaults,
-    one ``label<L>_terms<N>.txt`` file per slot. Only the SAME_THING
-    wording is fixed by the generation protocol; the other labels'
-    instructions are free text. A user-supplied directory overrides the
-    defaults slot by slot; missing files fall back to the defaults.
+    The package ships the DINO-style instructions (Schick & Schütze 2021)
+    as one ``templates/label<L>_terms<N>.txt`` file per slot, ``L`` the
+    label value (1, 0.5, 0) and ``N`` the number of terms (0 to 2).
     """
-
-    _FILE_RE = re.compile(r"label(1|0\.5|0)_terms([012])\.txt$")
 
     def __init__(self, templates: Mapping[tuple[LabelId, int], InstructionTemplate]):
         self._templates = dict(templates)
 
     @classmethod
-    def _parse_dir(cls, entries) -> dict[tuple[LabelId, int], InstructionTemplate]:
-        templates: dict[tuple[LabelId, int], InstructionTemplate] = {}
-        for entry in sorted(entries, key=lambda e: e.name):
-            m = cls._FILE_RE.match(entry.name)
-            if m is None:
-                log.warning("ignoring template file with unrecognized name: %s", entry)
-                continue
-            label = LabelId.from_value(float(m.group(1)))
-            arity = int(m.group(2))
-            text = entry.read_text(encoding="utf-8").strip()
-            template = InstructionTemplate(label=label, text=text)
-            if template.arity() != arity:
-                raise ConfigurationError(
-                    f"{entry}: template declares {arity} terms but uses "
-                    f"{template.arity()} placeholders"
-                )
-            templates[(label, arity)] = template
-        return templates
-
-    @classmethod
     def defaults(cls) -> "TemplateSet":
-        packaged = resources.files(__package__) / "templates"
-        entries = [e for e in packaged.iterdir() if e.name.endswith(".txt")]
-        return cls(cls._parse_dir(entries))
-
-    @classmethod
-    def load(cls, directory: Union[str, Path]) -> "TemplateSet":
-        directory = Path(directory)
-        if not directory.is_dir():
-            raise ConfigurationError(f"template directory {directory} does not exist")
-        templates = dict(cls.defaults()._templates)
-        templates.update(cls._parse_dir(directory.glob("*.txt")))
-        return cls(templates)
+        """The nine packaged templates."""
+        folder = resources.files(__package__) / "templates"
+        return cls({
+            (label, arity): InstructionTemplate(
+                label,
+                (folder / f"label{label.value:g}_terms{arity}.txt").read_text(encoding="utf-8").strip(),
+            )
+            for label in LabelId
+            for arity in range(MAX_REQUIRED_TERMS + 1)
+        })
 
     def get(self, label: LabelId, arity: int) -> InstructionTemplate:
         try:

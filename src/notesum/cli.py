@@ -45,10 +45,8 @@ class PipelineConfig:
     embedder: str = "onehot"
     mode: str = dataset_mod.CompositionMode.ASO.value
     target_size: int = dataset_mod.DEFAULT_TARGET_SIZE
-    separator: Optional[str] = None
     umls_dict: Optional[str] = None
     i2b2_source: Optional[str] = None
-    templates: Optional[str] = None
     mask: MaskPolicyConfig = field(default_factory=MaskPolicyConfig)
     annotation: corpus_mod.AnnotationConfig = field(default_factory=corpus_mod.AnnotationConfig)
     generation: aug.GenerationConfig = field(default_factory=aug.GenerationConfig)
@@ -238,12 +236,9 @@ def cmd_augment(args: argparse.Namespace) -> int:
     notes = list(dataset_mod.read_section_notes(args.train))
     if not notes:
         raise DataError(f"no notes in {args.train}")
-    templates = (
-        aug.TemplateSet.load(cfg.templates) if cfg.templates else aug.TemplateSet.defaults()
-    )
     texts = [n.assessment or "" for n in notes] + [n.summary or "" for n in notes]
     lm = aug.CueBigramLM.from_corpus(t for t in texts if t)
-    pairs = aug.augment_notes(notes, lm, templates, cfg.generation)
+    pairs = aug.augment_notes(notes, lm, aug.TemplateSet.defaults(), cfg.generation)
     count = aug.write_pairs(pairs, args.out)
     log.info("wrote %d candidate pairs to %s", count, args.out)
     return EXIT_OK
@@ -278,7 +273,6 @@ def cmd_assemble(args: argparse.Namespace) -> int:
         augmented,
         target_size=cfg.target_size,
         mode=dataset_mod.CompositionMode(cfg.mode),
-        separator=cfg.separator,
     )
     count = dataset_mod.write_instances(instances, args.out)
     log.info("wrote %d instances to %s", count, args.out)
@@ -312,8 +306,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     if not predictions:
         raise DataError("nothing to evaluate: both files are empty")
-    stemmer = rouge.simple_stem if args.stem else None
-    score = rouge.evaluate_corpus(predictions, references, stemmer=stemmer)
+    score = rouge.evaluate_corpus(predictions, references)
     print(rouge.format_table(score))
     if args.out:
         payload = {
@@ -347,7 +340,6 @@ def _add_pretrain_args(parser: argparse.ArgumentParser):
     parser.add_argument("--i2b2-source", help="second channel: term file or standoff TSV")
     parser.add_argument("--p-umls", type=float)
     parser.add_argument("--p-sentence", type=float)
-    parser.add_argument("--sentinel-format")
     parser.add_argument("--threshold", type=float, help="matcher similarity threshold")
     parser.add_argument("--max-window", type=int)
     parser.add_argument("--workers", type=int, help="worker processes")
@@ -372,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", help="generate paraphrase candidates")
     p.add_argument("--train", required=True, help="section notes (JSONL)")
-    p.add_argument("--templates", help="template directory overriding defaults")
     p.add_argument("--lambda", dest="lam", type=float, help="self-debias strength")
     p.add_argument("--max-out", dest="max_output_tokens", type=int)
     p.add_argument("--sampling", dest="greedy", action="store_const", const=False,
@@ -398,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--augmented", help="kept pairs (JSONL)")
     p.add_argument("--mode", choices=[m.value for m in dataset_mod.CompositionMode])
     p.add_argument("--target-size", type=int)
-    p.add_argument("--separator", help="plain section separator")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_assemble)
@@ -406,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score predictions against references")
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--stem", action="store_true", help="apply light stemming")
     p.add_argument("--out", help="also write scores JSON here")
     _add_verbose(p)
     p.set_defaults(func=cmd_evaluate)

@@ -24,8 +24,7 @@ from .annotation import (
 )
 from .errors import ConfigurationError, DataError, ParseError
 from .jsonl import read_jsonl, write_jsonl
-from .masking import DEFAULT_SENTINEL_FORMAT, MaskedExample, MaskPolicyConfig
-from .masking import apply_mask, choose_mask_source
+from .masking import SENTINEL_RE, MaskedExample, MaskPolicyConfig, apply_mask, choose_mask_source
 from .seeding import substream
 from .text import segment_sentences
 
@@ -62,8 +61,14 @@ class ProgressNote:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "ProgressNote":
+        """A note from one JSON record. Its ``doc_id`` is a string or an
+        integer, kept as its decimal digits; any other value (null, a
+        bool, a list) is a DataError."""
+        doc_id = record.get("doc_id", "")
+        if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+            raise DataError(f"note doc_id must be a string or an integer, got {doc_id!r}")
         return cls(
-            doc_id=str(record.get("doc_id", "")),
+            doc_id=str(doc_id),
             text=record.get("text", "") or "",
             **{k: record.get(k) for k in SECTION_FIELDS},
         )
@@ -185,11 +190,10 @@ def build_pretrain_corpus(
     """
     if stats is None:
         stats = CorpusStats()
-    sentinel = mask_cfg.sentinel_pattern()
 
     def maskable(notes):
         for note in notes:
-            if sentinel.search(note.text):
+            if SENTINEL_RE.search(note.text):
                 log.warning("note %r contains sentinel-format text; skipped", note.doc_id)
                 stats.skipped += 1
                 continue
@@ -249,19 +253,15 @@ def write_corpus(examples: Iterable[MaskedExample], path: Union[str, Path]) -> i
     )
 
 
-def read_corpus(
-    path: Union[str, Path],
-    sentinel_format: str = DEFAULT_SENTINEL_FORMAT,
-) -> Iterator[MaskedExample]:
+def read_corpus(path: Union[str, Path]) -> Iterator[MaskedExample]:
     """Read a corpus written by :func:`write_corpus`; lossless round trip.
 
     A corrupt line raises a ParseError naming the line number.
     """
-    pattern = MaskPolicyConfig(sentinel_format=sentinel_format).sentinel_pattern()
 
     def parse(record: dict) -> MaskedExample:
         target = record["target"]
-        num_masks = max(len(pattern.findall(target)) - 1, 0)
+        num_masks = max(len(SENTINEL_RE.findall(target)) - 1, 0)
         return MaskedExample(record["doc_id"], record["input"], target, num_masks)
 
     return read_jsonl(path, parse)

@@ -15,7 +15,7 @@ import enum
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 from .augment import GeneratedPair
 from .corpus import ProgressNote
@@ -62,28 +62,19 @@ def _require(note: ProgressNote, section: str) -> str:
     return value
 
 
-def compose_input(
-    note: ProgressNote,
-    mode: CompositionMode,
-    separator: Optional[str] = None,
-) -> str:
+def compose_input(note: ProgressNote, mode: CompositionMode) -> str:
     """Model input for one note.
 
     Mode A is the assessment verbatim. Mode ASO appends subjective and
-    objective in that fixed order; with the default ``separator=None``
-    the extra sections carry labelled headers so they stay recoverable,
-    otherwise the three texts are joined with the separator as-is.
+    objective in that fixed order, each on its own line behind a labelled
+    header, so the sections stay recoverable.
     """
     assessment = _require(note, "assessment")
     if mode is CompositionMode.A:
         return assessment
     subjective = _require(note, "subjective")
     objective = _require(note, "objective")
-    if separator is None:
-        return (
-            f"{assessment}\nSubjective: {subjective}\nObjective: {objective}"
-        )
-    return separator.join((assessment, subjective, objective))
+    return f"{assessment}\nSubjective: {subjective}\nObjective: {objective}"
 
 
 def _pair_rank_score(pair: GeneratedPair) -> float:
@@ -99,7 +90,6 @@ def assemble_training_set(
     augmented: Iterable[GeneratedPair],
     target_size: int = DEFAULT_TARGET_SIZE,
     mode: CompositionMode = CompositionMode.ASO,
-    separator: Optional[str] = None,
 ) -> list[TaskInstance]:
     """Originals plus the best augmented instances, capped at target_size.
 
@@ -120,7 +110,7 @@ def assemble_training_set(
         notes_by_id[note.doc_id] = note
         instance = TaskInstance(
             doc_id=note.doc_id,
-            input_text=compose_input(note, mode, separator),
+            input_text=compose_input(note, mode),
             target_text=_require(note, "summary"),
             provenance=Provenance.ORIGINAL,
         )
@@ -159,7 +149,7 @@ def assemble_training_set(
         patched = dataclasses.replace(note, assessment=new_assessment)
         instance = TaskInstance(
             doc_id=note.doc_id,
-            input_text=compose_input(patched, mode, separator),
+            input_text=compose_input(patched, mode),
             target_text=_require(note, "summary"),
             provenance=Provenance.AUGMENTED,
         )

@@ -24,6 +24,8 @@ from .text import trigram_jaccard
 
 DEFAULT_KEEP_FRACTION = 0.15
 NORMALIZE_BLOCK = 512  # rows normalized per step while a vector file loads
+# The scorers the filter combines, by the names their weights use.
+SCORER_NAMES = ("embedding", "trigram")
 
 Scorer = Callable[[str, str], float]
 
@@ -203,6 +205,12 @@ class FilterConfig:
                 f"weights: must be a non-empty scorer->weight map, got {self.weights!r}"
             )
         else:
+            unknown = [name for name in weights if name not in SCORER_NAMES]
+            if unknown:
+                problems.append(
+                    f"weights: unknown scorer {', '.join(map(repr, unknown))}; "
+                    f"the scorers are {' and '.join(SCORER_NAMES)}"
+                )
             total = sum(self.weights.values())
             if not math.isclose(total, 1.0, abs_tol=1e-9):
                 problems.append(f"weights: must sum to 1.0, got {total}")

@@ -22,7 +22,9 @@ import numpy as np
 from .annotation import AnnotatedSentence, EntitySpan, UMLS_CHANNEL, I2B2_CHANNEL
 from .errors import ConfigurationError, DataError, InternalError
 
-DEFAULT_SENTINEL_FORMAT = "<extra_id_{i}>"
+# T5's span-corruption sentinels (Raffel et al. 2020), numbered from 0.
+SENTINEL_FORMAT = "<extra_id_{i}>"
+SENTINEL_RE = re.compile(r"<extra_id_(\d+)>")
 
 # Spans on the same channel closer than this many gap tokens are merged,
 # avoiding degenerate zero/one-token unmasked gaps.
@@ -38,7 +40,7 @@ class MaskKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MaskPolicyConfig:
-    """Masking probabilities, sentinel format, and the corpus seed.
+    """Masking probabilities and the corpus seed.
 
     ``p_umls`` is the probability of masking the UMLS channel when both
     channels found entities; I2B2 takes the other 1 - p_umls.
@@ -49,7 +51,6 @@ class MaskPolicyConfig:
     p_umls: float = 0.7
     p_sentence: float = 0.15
     seed: int = 0
-    sentinel_format: str = DEFAULT_SENTINEL_FORMAT
 
     def __post_init__(self):
         problems = []
@@ -57,20 +58,14 @@ class MaskPolicyConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 problems.append(f"{name}: must be in [0, 1], got {value}")
-        if self.sentinel_format.count("{i}") != 1:
-            problems.append(
-                f"sentinel_format: must contain exactly one {{i}}, "
-                f"got {self.sentinel_format!r}"
-            )
         if problems:
             raise ConfigurationError(*problems)
 
     def sentinel(self, i: int) -> str:
-        return self.sentinel_format.replace("{i}", str(i))
+        return SENTINEL_FORMAT.format(i=i)
 
     def sentinel_pattern(self) -> re.Pattern:
-        head, tail = self.sentinel_format.split("{i}")
-        return re.compile(re.escape(head) + r"(\d+)" + re.escape(tail))
+        return SENTINEL_RE
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """From-scratch ROUGE-1, ROUGE-2 and ROUGE-LCS.
 
-Texts are lowercased and whitespace-tokenized (no stemming unless a
-stemmer is passed). Multi-line summaries are scored as one token
-sequence, i.e. summary-level LCS rather than sentence-split ROUGE-L.
+Texts are lowercased and whitespace-tokenized, without stemming.
+Multi-line summaries are scored as one token sequence, i.e. summary-level
+LCS rather than sentence-split ROUGE-L.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 PERCENT = 100.0
 
@@ -36,11 +36,8 @@ class RougeScore:
     rl: PRF
 
 
-def _tokens(text: str, stemmer: Optional[Callable[[str], str]]) -> list[str]:
-    tokens = text.lower().split()
-    if stemmer is not None:
-        tokens = [stemmer(t) for t in tokens]
-    return tokens
+def _tokens(text: str) -> list[str]:
+    return text.lower().split()
 
 
 def _ngram_prf(cand: Sequence[str], ref: Sequence[str], n: int) -> PRF:
@@ -54,19 +51,14 @@ def _ngram_prf(cand: Sequence[str], ref: Sequence[str], n: int) -> PRF:
     return PRF.from_counts(overlap, len(cand) - n + 1, len(ref) - n + 1)
 
 
-def rouge_n(
-    candidate: str,
-    reference: str,
-    n: int,
-    stemmer: Optional[Callable[[str], str]] = None,
-) -> PRF:
+def rouge_n(candidate: str, reference: str, n: int) -> PRF:
     """Clipped n-gram overlap precision/recall/F1.
 
     Either side shorter than ``n`` tokens scores (0, 0, 0).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _ngram_prf(_tokens(candidate, stemmer), _tokens(reference, stemmer), n)
+    return _ngram_prf(_tokens(candidate), _tokens(reference), n)
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -94,26 +86,18 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def rouge_l(
-    candidate: str,
-    reference: str,
-    stemmer: Optional[Callable[[str], str]] = None,
-) -> PRF:
+def rouge_l(candidate: str, reference: str) -> PRF:
     """LCS-based precision/recall/F1 over whole token sequences."""
-    cand = _tokens(candidate, stemmer)
-    ref = _tokens(reference, stemmer)
+    cand = _tokens(candidate)
+    ref = _tokens(reference)
     return PRF.from_counts(lcs_length(cand, ref), len(cand), len(ref))
 
 
-def score_summary(
-    candidate: str,
-    reference: str,
-    stemmer: Optional[Callable[[str], str]] = None,
-) -> RougeScore:
+def score_summary(candidate: str, reference: str) -> RougeScore:
     """ROUGE-1, ROUGE-2 and ROUGE-LCS of one candidate summary, over one
     tokenization of each side."""
-    cand = _tokens(candidate, stemmer)
-    ref = _tokens(reference, stemmer)
+    cand = _tokens(candidate)
+    ref = _tokens(reference)
     return RougeScore(
         r1=_ngram_prf(cand, ref, 1),
         r2=_ngram_prf(cand, ref, 2),
@@ -121,11 +105,7 @@ def score_summary(
     )
 
 
-def evaluate_corpus(
-    predictions: Sequence[str],
-    references: Sequence[str],
-    stemmer: Optional[Callable[[str], str]] = None,
-) -> RougeScore:
+def evaluate_corpus(predictions: Sequence[str], references: Sequence[str]) -> RougeScore:
     """Arithmetic mean of per-pair scores, component by component."""
     if len(predictions) != len(references):
         raise ValueError(
@@ -136,7 +116,7 @@ def evaluate_corpus(
     # nine running sums, each added to pair by pair in corpus order
     totals = [0.0] * 9
     for pred, ref in zip(predictions, references):
-        score = score_summary(pred, ref, stemmer)
+        score = score_summary(pred, ref)
         for k, value in enumerate((*score.r1, *score.r2, *score.rl)):
             totals[k] += value
     n = len(predictions)
@@ -155,11 +135,3 @@ def format_table(score: RougeScore) -> str:
         ]
         rows.append(f"{label:6}" + "".join(cells))
     return "\n".join([header] + rows)
-
-
-def simple_stem(token: str) -> str:
-    """Tiny suffix stripper for the optional stemming flag."""
-    for suffix in ("ing", "ed", "s"):
-        if token.endswith(suffix) and len(token) - len(suffix) >= 3:
-            return token[: -len(suffix)]
-    return token

@@ -1,16 +1,21 @@
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from notesum import augment
 from notesum.augment import (
     BIGRAM_SMOOTHING,
+    MAX_REQUIRED_TERMS,
+    SOURCE,
+    TERM_1,
+    TERM_2,
     CueBigramLM,
     GenerationConfig,
-    InstructionTemplate,
     LabelId,
     TemplateSet,
     augment_notes,
@@ -25,25 +30,17 @@ from notesum.augment import (
     write_pairs,
 )
 from notesum.corpus import ProgressNote
-from notesum.errors import BackendError, ConfigurationError, TemplateError
+from notesum.errors import BackendError, ConfigurationError, DataError, TemplateError
 
 
 def test_exactly_three_labels_exist():
     assert {label.value for label in LabelId} == {1.0, 0.5, 0.0}
     assert LabelId.from_value(0.5) is LabelId.SOMEWHAT_SIMILAR
-
-
-def test_templates_must_end_at_the_continuation_point():
-    with pytest.raises(ConfigurationError):
-        InstructionTemplate(LabelId.SAME_THING, "Write a sentence. [Source]")
-
-
-def test_same_thing_template_must_keep_terms():
-    with pytest.raises(ConfigurationError):
-        InstructionTemplate(
-            LabelId.SAME_THING,
-            "Write two sentences using [Term 1]. Sentence 1: [Source] Sentence 2:",
-        )
+    assert LabelId.from_value(1) is LabelId.SAME_THING
+    # a label is a JSON number: true and "0.5" are none
+    for value in (True, "0.5", 2):
+        with pytest.raises(DataError):
+            LabelId.from_value(value)
 
 
 def test_generation_config_reports_every_problem():
@@ -97,14 +94,23 @@ def test_too_few_terms_is_a_template_error():
         instantiate_template(templates.get(LabelId.SAME_THING, 2), ["CPAP"], "src")
 
 
-def test_template_directory_overrides_one_slot(tmp_path):
-    (tmp_path / "label1_terms0.txt").write_text(
-        "Say it again. Sentence 1: [Source] Sentence 2:\n", encoding="utf-8"
+def test_packaged_templates_fill_every_slot_and_follow_the_protocol():
+    # one file per (label, term count) slot, and no other file
+    folder = Path(augment.__file__).parent / "templates"
+    assert sorted(p.name for p in folder.iterdir()) == sorted(
+        f"label{tag}_terms{n}.txt" for tag in ("1", "0.5", "0") for n in range(MAX_REQUIRED_TERMS + 1)
     )
-    templates = TemplateSet.load(tmp_path)
-    assert templates.get(LabelId.SAME_THING, 0).text.startswith("Say it again.")
-    # untouched slots keep their defaults
-    assert templates.get(LabelId.SAME_THING, 2).text.startswith("Write two sentences")
+    templates = TemplateSet.defaults()
+    for label in LabelId:
+        for n in range(MAX_REQUIRED_TERMS + 1):
+            text = templates.get(label, n).text
+            # the term placeholders match the slot's term count
+            assert (TERM_1 in text, TERM_2 in text) == (n >= 1, n >= 2), (label, n)
+            assert text.count(SOURCE) == 1, (label, n)
+            # decoding continues the prompt at its end
+            assert text.endswith("Sentence 2:"), (label, n)
+            if label is LabelId.SAME_THING and n:
+                assert "keep" in text.lower(), n
 
 
 # ---------------------------------------------------------------------------

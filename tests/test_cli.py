@@ -29,7 +29,7 @@ def test_defaults_carry_the_published_constants():
     assert cfg.mask.p_sentence == 0.15
     assert cfg.filter.keep_fraction == 0.15
     assert cfg.generation.max_output_tokens == 40
-    assert cfg.mask.sentinel_format == "<extra_id_{i}>"
+    assert cfg.mask.sentinel(0) == "<extra_id_0>"
 
 
 def test_flags_override_config_file(tmp_path):
@@ -57,6 +57,18 @@ def test_weights_that_are_not_a_map_are_reported(tmp_path):
     assert "weights: must be a non-empty scorer->weight map" in str(exc.value)
 
 
+def test_weights_for_an_unknown_scorer_exit_config_with_every_other_problem(tmp_path, caplog):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("", encoding="utf-8")
+    for weights in ("foo=1", "embedding=1,foo=0"):
+        caplog.clear()
+        argv = ["filter", "--in", str(pairs), "--weights", weights, "--keep", "2",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert "\n  keep_fraction: must be in (0, 1], got 2.0" in caplog.text
+        assert "\n  weights: unknown scorer 'foo'; the scorers are embedding and trigram" in caplog.text
+
+
 def test_cli_owned_settings_are_checked_with_the_stage_configs():
     with pytest.raises(ConfigurationError) as exc:
         parse_config({"workers": 0, "mode": "x", "threshold": 0.0, "lam": -1.0})
@@ -67,8 +79,12 @@ def test_cli_owned_settings_are_checked_with_the_stage_configs():
 
 def test_unknown_config_key_is_an_error(tmp_path, caplog):
     config = tmp_path / "cfg.json"
-    # p_i2b2 is 1 - p_umls and the i2b2 format is read off the file
-    for key, value in (("probability", 0.7), ("p_i2b2", 0.3), ("i2b2_format", "dict")):
+    # p_i2b2 is 1 - p_umls and the i2b2 format is read off the file; the
+    # sentinels, the ASO section headers and the templates are fixed
+    for key, value in (
+        ("probability", 0.7), ("p_i2b2", 0.3), ("i2b2_format", "dict"),
+        ("sentinel_format", "[M{i}]"), ("separator", " | "), ("templates", "tpl"),
+    ):
         config.write_text(json.dumps({key: value}), encoding="utf-8")
         with pytest.raises(ConfigurationError) as exc:
             parse_config(None, str(config))
@@ -99,7 +115,6 @@ WRONG_TYPES = {
     "workers": ("2", "an integer"),
     "p_umls": ("0.7", "a number"),
     "p_sentence": (None, "a number"),
-    "sentinel_format": (5, "a string"),
     "threshold": ("x", "a number"),
     "max_window": ("6", "an integer"),
     "max_output_tokens": (True, "an integer"),
@@ -111,16 +126,14 @@ WRONG_TYPES = {
     "embedder": (1, "a string"),
     "mode": (2, "a string"),
     "target_size": (10.0, "an integer"),
-    "separator": (3, "a string or null"),
     "umls_dict": (5, "a string or null"),
     "i2b2_source": (["a"], "a string or null"),
-    "templates": ({}, "a string or null"),
 }
 
 
 def test_config_keys_are_the_stage_fields_and_the_cli_settings():
     assert set(KEY_TYPES) == set(WRONG_TYPES)
-    assert len(KEY_TYPES) == 20
+    assert len(KEY_TYPES) == 17
 
 
 def test_each_config_key_reaches_its_config(tmp_path):
@@ -129,7 +142,6 @@ def test_each_config_key_reaches_its_config(tmp_path):
         "seed": (9, ["mask", "generation"]),
         "p_umls": (0.6, ["mask"]),
         "p_sentence": (0.25, ["mask"]),
-        "sentinel_format": ("[M{i}]", ["mask"]),
         "threshold": (0.8, ["annotation"]),
         "max_window": (4, ["annotation"]),
         "max_output_tokens": (12, ["generation"]),
@@ -142,10 +154,8 @@ def test_each_config_key_reaches_its_config(tmp_path):
         "embedder": ("file:vectors.txt", [None]),
         "mode": ("a", [None]),
         "target_size": (20, [None]),
-        "separator": (" | ", [None]),
         "umls_dict": ("u.txt", [None]),
         "i2b2_source": ("i.txt", [None]),
-        "templates": ("tpl", [None]),
     }
     assert set(expected) == set(KEY_TYPES)
     config = tmp_path / "cfg.json"
@@ -385,8 +395,9 @@ def test_invalid_probability_flag_exits_config(workspace):
         "--out", str(out),
     ]
     assert main(args + ["--p-umls", "1.1"]) == EXIT_CONFIG
-    # I2B2 takes 1 - p_umls, and the source's format is read off the file
-    for removed in (["--p-i2b2", "0.4"], ["--i2b2-format", "dict"]):
+    # I2B2 takes 1 - p_umls, the source's format is read off the file, and
+    # the sentinels are T5's
+    for removed in (["--p-i2b2", "0.4"], ["--i2b2-format", "dict"], ["--sentinel-format", "[M{i}]"]):
         assert main(args + ["--p-umls", "0.6", *removed]) == EXIT_CONFIG
     assert main(args + ["--p-umls", "0.6"]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == P_UMLS_06_CORPUS
@@ -435,6 +446,16 @@ def test_evaluate_takes_no_config_or_seed(tmp_path):
     assert main(args + ["--seed", "3"]) == EXIT_CONFIG
 
 
+# flags of settings the pipeline fixes: its templates, its ASO section
+# headers and unstemmed ROUGE (build-pretrain's --sentinel-format is
+# checked with its other removed flags above)
+REMOVED_FLAGS = {
+    "augment": ["--templates", "tpl"],
+    "assemble": ["--separator", "|"],
+    "evaluate": ["--stem"],
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -451,6 +472,10 @@ def test_workers_is_a_usage_error_outside_build_pretrain_and_stats(args, capsys)
     if args[0] in ("filter", "assemble"):  # no stage they run reads a seed
         assert main(args + ["--seed", "3"]) == EXIT_CONFIG
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    if args[0] in REMOVED_FLAGS:
+        removed = REMOVED_FLAGS[args[0]]
+        assert main(args + removed) == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
 
 
 SECTION_NOTE = {"doc_id": "s1", "assessment": "pt on cpap .", "subjective": "s",
@@ -485,6 +510,31 @@ MALFORMED_RECORD_CASES = {
         PAIR,
         '{"source": "a", "generated": "b", "label": 1, "required_terms": "chest pain"}',
         ["filter", "--in", "{f}", "--out", "{d}/o"],
+    ),
+    "filter-label-bool": (
+        PAIR,
+        '{"source": "a", "generated": "b", "label": true}',
+        ["filter", "--in", "{f}", "--out", "{d}/o"],
+    ),
+    "filter-label-string": (
+        PAIR,
+        '{"source": "a", "generated": "b", "label": "0.5"}',
+        ["filter", "--in", "{f}", "--out", "{d}/o"],
+    ),
+    "augment-doc-id-null": (
+        SECTION_NOTE,
+        json.dumps({**SECTION_NOTE, "doc_id": None}),
+        ["augment", "--train", "{f}", "--out", "{d}/o"],
+    ),
+    "assemble-doc-id-false": (
+        SECTION_NOTE,
+        json.dumps({**SECTION_NOTE, "doc_id": False}),
+        ["assemble", "--notes", "{f}", "--out", "{d}/o"],
+    ),
+    "assemble-doc-id-list": (
+        SECTION_NOTE,
+        json.dumps({**SECTION_NOTE, "doc_id": ["a"]}),
+        ["assemble", "--notes", "{f}", "--out", "{d}/o"],
     ),
     "evaluate": ({"text": "the cat sat"}, '{"text": null}', ["evaluate", "--pred", "{f}", "--ref", "{f}"]),
     "evaluate-text-after-json": (

@@ -136,14 +136,19 @@ def test_malformed_note_records_are_skipped_and_counted(tmp_path):
             {"doc_id": "ok-1", "text": "fine ."},
             {"text": "missing id ."},
             {"doc_id": "bad-2", "text": 42},
+            # an id is a string or an integer, not null, a bool or a list
+            {"doc_id": None, "text": "null id ."},
+            {"doc_id": False, "text": "false id ."},
+            {"doc_id": ["a"], "text": "list id ."},
+            {"doc_id": 7, "text": "integer id ."},
         ],
     )
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("{broken\n")
     stats = CorpusStats()
     notes = list(read_notes(path, stats=stats))
-    assert [n.doc_id for n in notes] == ["ok-1"]
-    assert stats.skipped == 3
+    assert [n.doc_id for n in notes] == ["ok-1", "7"]
+    assert stats.skipped == 6
 
 
 def test_stats_invariant_violation_is_detected():

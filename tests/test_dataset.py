@@ -46,15 +46,6 @@ def test_mode_a_is_the_assessment_verbatim():
     assert compose_input(note(), CompositionMode.A) == "a text"
 
 
-def test_mode_aso_with_plain_separator():
-    got = compose_input(
-        note(assessment="a", subjective="s", objective="o"),
-        CompositionMode.ASO,
-        separator="\n",
-    )
-    assert got == "a\ns\no"
-
-
 def test_mode_aso_default_headers_keep_sections_recoverable():
     got = compose_input(note(assessment="a", subjective="s", objective="o"), CompositionMode.ASO)
     assert got == "a\nSubjective: s\nObjective: o"
@@ -68,11 +59,10 @@ def test_missing_section_names_doc_and_section():
 
 
 def test_aso_always_has_a_as_prefix():
-    for sep in (None, "\n", " | ", ""):
-        n = note()
+    for assessment in ("a text", "a\nSubjective: x", "x."):
+        n = note(assessment=assessment)
         a = compose_input(n, CompositionMode.A)
-        aso = compose_input(n, CompositionMode.ASO, separator=sep)
-        assert aso.startswith(a)
+        assert compose_input(n, CompositionMode.ASO).startswith(a + "\nSubjective: ")
 
 
 # ---------------------------------------------------------------------------

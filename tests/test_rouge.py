@@ -12,7 +12,6 @@ from notesum.rouge import (
     rouge_l,
     rouge_n,
     score_summary,
-    simple_stem,
 )
 
 
@@ -85,13 +84,12 @@ def test_bit_parallel_lcs_equals_the_full_table_past_one_machine_word(a, b):
 # The three-tokenization formulas ROUGE had before it shared one token list
 # per side: each metric re-tokenizes, n-grams are tuple slices clipped with
 # Counter &, and the LCS is the full table.
-def oracle_tokens(text, stemmer):
-    tokens = text.lower().split()
-    return [stemmer(t) for t in tokens] if stemmer is not None else tokens
+def oracle_tokens(text):
+    return text.lower().split()
 
 
-def oracle_rouge_n(candidate, reference, n, stemmer):
-    cand, ref = oracle_tokens(candidate, stemmer), oracle_tokens(reference, stemmer)
+def oracle_rouge_n(candidate, reference, n):
+    cand, ref = oracle_tokens(candidate), oracle_tokens(reference)
     if len(cand) < n or len(ref) < n:
         return PRF(0.0, 0.0, 0.0)
     cand_grams = Counter(tuple(cand[i : i + n]) for i in range(len(cand) - n + 1))
@@ -100,32 +98,32 @@ def oracle_rouge_n(candidate, reference, n, stemmer):
     return PRF.from_counts(overlap, sum(cand_grams.values()), sum(ref_grams.values()))
 
 
-def oracle_rouge_l(candidate, reference, stemmer):
-    cand, ref = oracle_tokens(candidate, stemmer), oracle_tokens(reference, stemmer)
+def oracle_rouge_l(candidate, reference):
+    cand, ref = oracle_tokens(candidate), oracle_tokens(reference)
     if not cand or not ref:
         return PRF(0.0, 0.0, 0.0)
     return PRF.from_counts(lcs_oracle(cand, ref), len(cand), len(ref))
 
 
-def oracle_score(candidate, reference, stemmer):
+def oracle_score(candidate, reference):
     return (
-        oracle_rouge_n(candidate, reference, 1, stemmer),
-        oracle_rouge_n(candidate, reference, 2, stemmer),
-        oracle_rouge_l(candidate, reference, stemmer),
+        oracle_rouge_n(candidate, reference, 1),
+        oracle_rouge_n(candidate, reference, 2),
+        oracle_rouge_l(candidate, reference),
     )
 
 
-def oracle_corpus(predictions, references, stemmer):
+def oracle_corpus(predictions, references):
     totals = {(m, c): 0.0 for m in range(3) for c in range(3)}
     for pred, ref in zip(predictions, references):
-        for m, prf in enumerate(oracle_score(pred, ref, stemmer)):
+        for m, prf in enumerate(oracle_score(pred, ref)):
             for c in range(3):
                 totals[(m, c)] += prf[c]
     n = len(predictions)
     return tuple(PRF(*(totals[(m, c)] / n for c in range(3))) for m in range(3))
 
 
-# inflected words so simple_stem merges some; case and spacing vary; short
+# inflected forms of one word stay distinct; case and spacing vary; short
 # and empty texts are common
 summary_words = st.sampled_from(
     ["copd", "COPD", "fails", "failed", "failing", "fail", "hr", "a", "the", "lasix", "s"]
@@ -133,31 +131,27 @@ summary_words = st.sampled_from(
 summary_texts = st.lists(summary_words, max_size=30).flatmap(
     lambda words: st.sampled_from([" ", "  ", "\n", " \t"]).map(lambda sep: sep.join(words))
 )
-stemmers = st.sampled_from([None, simple_stem])
+@given(summary_texts, summary_texts)
+def test_one_tokenization_equals_the_three_tokenization_formulas(c, r):
+    score = score_summary(c, r)
+    assert (score.r1, score.r2, score.rl) == oracle_score(c, r)
+    assert rouge_n(c, r, 1) == score.r1
+    assert rouge_n(c, r, 2) == score.r2
+    assert rouge_n(c, r, 3) == oracle_rouge_n(c, r, 3)
+    assert rouge_l(c, r) == score.rl
 
 
-@given(summary_texts, summary_texts, stemmers)
-def test_one_tokenization_equals_the_three_tokenization_formulas(c, r, stemmer):
-    score = score_summary(c, r, stemmer)
-    assert (score.r1, score.r2, score.rl) == oracle_score(c, r, stemmer)
-    assert rouge_n(c, r, 1, stemmer) == score.r1
-    assert rouge_n(c, r, 2, stemmer) == score.r2
-    assert rouge_n(c, r, 3, stemmer) == oracle_rouge_n(c, r, 3, stemmer)
-    assert rouge_l(c, r, stemmer) == score.rl
-
-
-@given(st.lists(st.tuples(summary_texts, summary_texts), min_size=1, max_size=8), stemmers)
-def test_corpus_means_equal_the_three_tokenization_formulas(pairs, stemmer):
+@given(st.lists(st.tuples(summary_texts, summary_texts), min_size=1, max_size=8))
+def test_corpus_means_equal_the_three_tokenization_formulas(pairs):
     predictions, references = [p for p, _ in pairs], [r for _, r in pairs]
-    score = evaluate_corpus(predictions, references, stemmer)
-    assert (score.r1, score.r2, score.rl) == oracle_corpus(predictions, references, stemmer)
+    score = evaluate_corpus(predictions, references)
+    assert (score.r1, score.r2, score.rl) == oracle_corpus(predictions, references)
 
 
 def test_empty_and_short_sides_match_the_formulas():
     for c, r in (("", ""), ("", "a b"), ("a", "a"), ("a", "a b"), ("a b", "b")):
-        for stemmer in (None, simple_stem):
-            score = score_summary(c, r, stemmer)
-            assert (score.r1, score.r2, score.rl) == oracle_score(c, r, stemmer)
+        score = score_summary(c, r)
+        assert (score.r1, score.r2, score.rl) == oracle_score(c, r)
     assert score_summary("a", "a").r2 == PRF(0.0, 0.0, 0.0)
     assert score_summary("", "a").rl == PRF(0.0, 0.0, 0.0)
 
@@ -205,9 +199,9 @@ def test_rouge_is_case_insensitive():
     assert rouge_n("The CAT", "the cat", 1).f1 == pytest.approx(1.0)
 
 
-def test_optional_stemming_merges_inflections():
+def test_inflections_stay_distinct_without_stemming():
     assert rouge_n("failures", "failure", 1).f1 == 0.0
-    assert rouge_n("failures", "failure", 1, stemmer=simple_stem).f1 == pytest.approx(1.0)
+    assert score_summary("heart failures", "heart failure").r1.f1 == pytest.approx(0.5)
 
 
 def test_table_layout_matches_the_reporting_convention():
