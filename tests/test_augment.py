@@ -107,10 +107,21 @@ def test_packaged_templates_fill_every_slot_and_follow_the_protocol():
             # the term placeholders match the slot's term count
             assert (TERM_1 in text, TERM_2 in text) == (n >= 1, n >= 2), (label, n)
             assert text.count(SOURCE) == 1, (label, n)
-            # decoding continues the prompt at its end
-            assert text.endswith("Sentence 2:"), (label, n)
-            if label is LabelId.SAME_THING and n:
-                assert "keep" in text.lower(), n
+
+
+def test_templates_must_end_at_the_continuation_point():
+    # decoding continues the prompt at its end
+    templates = TemplateSet.defaults()
+    for label in LabelId:
+        for n in range(MAX_REQUIRED_TERMS + 1):
+            assert templates.get(label, n).text.endswith("Sentence 2:"), (label, n)
+
+
+def test_same_thing_template_must_keep_terms():
+    # a SAME_THING rewrite with terms must be told to keep them
+    templates = TemplateSet.defaults()
+    for n in range(1, MAX_REQUIRED_TERMS + 1):
+        assert "keep" in templates.get(LabelId.SAME_THING, n).text.lower(), n
 
 
 # ---------------------------------------------------------------------------
