@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -177,15 +177,25 @@ def annotate(
     positions from ``starts[i]`` on. A 1-2 character window's one gram is
     the whole string, so it matches only an equal entry. A window that is
     itself an entry scores 1.0 at once, and at threshold 1.0 that is the
-    only way to match. Below 1.0 each position's ``(gram, 1)`` posting is
-    looked up once per sentence; a gram that recurs in the sentence is keyed
-    ``(gram, k)`` by its k-th occurrence from the start, so those positions
-    are looked up again per start. An extension's new keys are then one
-    slice. Each key adds at most 1 to the overlap with any entry, so a
-    window with fewer indexed keys than ``threshold`` times its gram count
-    is skipped. Otherwise the start's running overlap vector takes the
-    postings not yet counted, and ``best_among`` scores the entries whose
-    gram count can reach the threshold.
+    only way to match, so no gram is looked up.
+
+    Below 1.0 each position's ``(gram, 1)`` posting is looked up once per
+    sentence, and their prefix count ``indexed`` skips, before slicing it,
+    any 3+ character window whose indexed positions are fewer than
+    ``threshold`` times its gram count. It cannot pass the count bound
+    below, which divides by the same count: its keys hit only indexed
+    positions, since an entry with k copies of a gram also has one. Nor is
+    it an entry, every gram of which is indexed. A large dictionary
+    indexes nearly every gram, so there the skip prunes almost nothing.
+
+    The rest waits for the first window that survives: per sentence, the
+    postings become int arrays and the recurring grams are found; per
+    start, a recurring gram is keyed ``(gram, k)`` by its k-th occurrence
+    from the start, and an extension's new keys are then one slice. Each
+    key adds at most 1 to the overlap with any entry, so a window with
+    fewer keys found than ``threshold`` times its gram count is skipped.
+    Otherwise the start's running overlap vector takes the new postings,
+    and ``best_among`` scores the entries that can reach the threshold.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
@@ -203,35 +213,41 @@ def annotate(
         firsts, repeats = dictionary._firsts, dictionary._repeats
         grams = [text[p : p + 3] for p in range(len(text) - 2)]
         postings = [firsts.get(gram) for gram in grams]
-        for p, posting in enumerate(postings):
-            if type(posting) is list:
-                postings[p] = firsts[grams[p]] = np.array(posting, dtype=np.intp)
-        occurrences = Counter(grams)
-        recurring = [p for p, gram in enumerate(grams) if occurrences[gram] > 1]
+        indexed = [0, *accumulate(posting is not None for posting in postings)]
+        recurring: Optional[list[int]] = None
     spans: list[EntitySpan] = []
     for i in range(n):
         a = starts[i]
         last = min(i + max_window, n)
-        if approximate:
-            keys = postings[a : max(a, starts[last] - 3)]
-            seen: dict[str, int] = {}
-            for p in recurring[bisect_left(recurring, a) : bisect_left(recurring, a + len(keys))]:
-                gram = grams[p]
-                k = seen[gram] = seen.get(gram, 0) + 1
-                if k > 1:
-                    posting = keys[p - a] = repeats.get((gram, k))
-                    if type(posting) is list:
-                        keys[p - a] = repeats[gram, k] = np.array(posting, dtype=np.intp)
-            hits: list[np.ndarray] = []
-            added = 0
-            size = 0
+        keys: Optional[list] = None
         for j in range(i + 1, last + 1):
+            size = starts[j] - a - 3  # the gram count, if the window has 3+ characters
+            if approximate and size > 0 and (indexed[a + size] - indexed[a]) / size < threshold:
+                continue
             window = text[a : starts[j] - 1]
             score = 1.0 if window in exact_entries else 0.0
-            if approximate and len(window) >= 3:
-                grown, size = size, len(window) - 2
+            if approximate and size > 0 and score == 0.0:
+                if recurring is None:
+                    for p, posting in enumerate(postings):
+                        if type(posting) is list:
+                            postings[p] = firsts[grams[p]] = np.array(posting, dtype=np.intp)
+                    occurrences = Counter(grams)
+                    recurring = [p for p, gram in enumerate(grams) if occurrences[gram] > 1]
+                if keys is None:
+                    keys = postings[a : max(a, starts[last] - 3)]
+                    seen: dict[str, int] = {}
+                    for p in recurring[bisect_left(recurring, a) : bisect_left(recurring, a + len(keys))]:
+                        gram = grams[p]
+                        k = seen[gram] = seen.get(gram, 0) + 1
+                        if k > 1:
+                            posting = keys[p - a] = repeats.get((gram, k))
+                            if type(posting) is list:
+                                keys[p - a] = repeats[gram, k] = np.array(posting, dtype=np.intp)
+                    hits: list[np.ndarray] = []
+                    added = grown = 0
                 hits += [posting for posting in keys[grown:size] if posting is not None]
-                if score == 0.0 and len(hits) / size >= threshold:
+                grown = size
+                if len(hits) / size >= threshold:
                     if not added:
                         overlap = np.zeros(len(dictionary), dtype=np.intp)
                     if added < len(hits):

@@ -63,13 +63,15 @@ class ProgressNote:
     def from_record(cls, record: Mapping) -> "ProgressNote":
         """A note from one JSON record. Its ``doc_id`` is a string or an
         integer, kept as its decimal digits; any other value (null, a
-        bool, a list) is a DataError."""
+        bool, a list) is a DataError. An absent or null ``text`` is no
+        body; any other non-string ``text`` is a DataError."""
         doc_id = record.get("doc_id", "")
         if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
             raise DataError(f"note doc_id must be a string or an integer, got {doc_id!r}")
+        text = record.get("text")
         return cls(
             doc_id=str(doc_id),
-            text=record.get("text", "") or "",
+            text="" if text is None else text,
             **{k: record.get(k) for k in SECTION_FIELDS},
         )
 

@@ -234,6 +234,63 @@ def test_annotate_agrees_with_bruteforce_oracle_on_a_large_dictionary():
             assert want or threshold > 0.7  # near matches are common in this vocabulary
 
 
+# letters no VOCAB word uses, so filler grams are never indexed and most
+# windows over filler are skipped by their count of indexed positions
+FILLER = "gjkmqvwxyz"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_annotate_agrees_with_oracle_when_filler_grams_are_not_indexed(data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    entries = sorted({
+        " ".join(rng.choice(VOCAB) for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 5))
+    })
+    words = []
+    for _ in range(rng.randint(1, 12)):
+        if rng.random() < 0.4:
+            words.append("".join(rng.choice(FILLER) for _ in range(rng.randint(1, 7))))
+            continue
+        term = rng.choice(entries)
+        if rng.random() < 0.5:  # a near miss: one letter replaced, dropped or added
+            p = rng.randrange(len(term))
+            term = rng.choice([
+                term[:p] + rng.choice(FILLER) + term[p + 1 :],
+                term[:p] + term[p + 1 :],
+                term[:p] + rng.choice("abcehr") + term[p:],
+            ])
+        words += term.split()
+    if not words:
+        return
+    d = TermDictionary(entries, UMLS_CHANNEL)
+    tokens = tokenize(" ".join(words))
+    for max_window in (1, 3, 6):
+        for threshold in THRESHOLDS:
+            assert spans_of(tokens, d, threshold, max_window) == oracle_annotate(
+                words, set(entries), threshold, max_window
+            )
+
+
+def test_annotate_at_threshold_one_needs_the_entry_itself_not_an_equal_multiset():
+    # "baba" and "abab" have the same trigram multiset {aba, bab}
+    d = TermDictionary(["abab"], UMLS_CHANNEL)
+    tokens = tokenize("x baba y")
+    assert spans_of(tokens, d, 1.0, 6) == []
+    assert spans_of(tokens, d, 0.99, 6) == [(1, 2, 1.0)]
+
+
+def test_annotate_scores_no_window_whose_trigrams_are_all_unindexed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("best_among called")
+
+    monkeypatch.setattr(TermDictionary, "best_among", refuse)
+    d = TermDictionary(["mi", "heart failure"], UMLS_CHANNEL)
+    for threshold in THRESHOLDS:
+        # no trigram of the sentence is indexed, yet the 2-character entry matches
+        assert spans_of(tokenize("pt mi ok"), d, threshold, 6) == [(1, 2, 1.0)]
+
+
 def test_annotate_drops_a_short_windows_whole_string_gram_when_it_grows():
     # "a a" has the single trigram "a a" and shares nothing with "a"; a
     # stale key for the one-character window "a" would score it 1.0

@@ -536,6 +536,17 @@ MALFORMED_RECORD_CASES = {
         json.dumps({**SECTION_NOTE, "doc_id": ["a"]}),
         ["assemble", "--notes", "{f}", "--out", "{d}/o"],
     ),
+    # a falsy non-string text is a bad record, not an absent body
+    "augment-text-zero": (
+        SECTION_NOTE,
+        json.dumps({**SECTION_NOTE, "text": 0}),
+        ["augment", "--train", "{f}", "--out", "{d}/o"],
+    ),
+    "assemble-text-list": (
+        SECTION_NOTE,
+        json.dumps({**SECTION_NOTE, "text": []}),
+        ["assemble", "--notes", "{f}", "--out", "{d}/o"],
+    ),
     "evaluate": ({"text": "the cat sat"}, '{"text": null}', ["evaluate", "--pred", "{f}", "--ref", "{f}"]),
     "evaluate-text-after-json": (
         {"text": "the cat sat"}, "the cat sat", ["evaluate", "--pred", "{f}", "--ref", "{f}"]

@@ -136,6 +136,8 @@ def test_malformed_note_records_are_skipped_and_counted(tmp_path):
             {"doc_id": "ok-1", "text": "fine ."},
             {"text": "missing id ."},
             {"doc_id": "bad-2", "text": 42},
+            # a falsy non-string text is bad too, not a fall-back to the sections
+            {"doc_id": "bad-3", "text": False, "assessment": "pt ok ."},
             # an id is a string or an integer, not null, a bool or a list
             {"doc_id": None, "text": "null id ."},
             {"doc_id": False, "text": "false id ."},
@@ -148,7 +150,17 @@ def test_malformed_note_records_are_skipped_and_counted(tmp_path):
     stats = CorpusStats()
     notes = list(read_notes(path, stats=stats))
     assert [n.doc_id for n in notes] == ["ok-1", "7"]
-    assert stats.skipped == 6
+    assert stats.skipped == 7
+
+
+@pytest.mark.parametrize("text", [0, False, [], 42, None])
+def test_only_an_absent_or_null_text_falls_back_to_the_sections(text):
+    record = {"doc_id": "d1", "text": text, "assessment": "pt ok .", "subjective": "s", "objective": "o"}
+    if text is None:
+        assert ProgressNote.from_record(record).text == "pt ok .\ns\no"
+    else:
+        with pytest.raises(DataError):
+            ProgressNote.from_record(record)
 
 
 def test_stats_invariant_violation_is_detected():
