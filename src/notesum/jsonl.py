@@ -10,12 +10,27 @@ object, and a bad line is reported as a ParseError naming ``path:line``.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from .errors import DataError, ParseError
 
 T = TypeVar("T")
+
+# A \u escape in the surrogate range D800-DFFF. A line without one cannot
+# decode to a lone surrogate, so only lines with one pay for the check.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _check_no_lone_surrogate(record: dict) -> None:
+    """Reject a record holding a lone surrogate (a ``\\u`` escape that is
+    not half of a pair): no UTF-8 file can hold it, so writing it would fail."""
+    try:
+        json.dumps(record, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        char = exc.object[exc.start]
+        raise DataError(f"lone surrogate {char!r}: a \\u escape that is not half of a pair") from None
 
 
 def read_jsonl(
@@ -25,10 +40,10 @@ def read_jsonl(
 ) -> Iterator[T]:
     """Lazily yield ``parse(record)`` for each JSON object line of ``path``.
 
-    A line that is not a JSON object, or whose record ``parse`` rejects
-    with ValueError, KeyError, TypeError or DataError, becomes one
-    ParseError. It is raised, or, when ``on_error`` is given, passed to
-    it and the line skipped.
+    A line that is not a JSON object, that holds a lone surrogate, or
+    whose record ``parse`` rejects with ValueError, KeyError, TypeError
+    or DataError, becomes one ParseError. It is raised, or, when
+    ``on_error`` is given, passed to it and the line skipped.
     """
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -38,6 +53,8 @@ def read_jsonl(
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise DataError(f"expected a JSON object, got {type(record).__name__}")
+                if _SURROGATE_ESCAPE.search(line):
+                    _check_no_lone_surrogate(record)
                 item = parse(record)
             except (ValueError, KeyError, TypeError, DataError) as exc:
                 reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 _TOKEN_RE = re.compile(r"\S+")
 _SENTENCE_END_RE = re.compile(r"[.!?]+(?=\s)")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['\-][A-Za-z0-9]+)*")
@@ -33,8 +35,8 @@ def normalize(text: str) -> str:
 def char_trigrams(text: str) -> dict[str, int]:
     """Multiset of character trigrams as gram -> count; strings shorter
     than 3 chars contribute themselves as a single gram. A plain dict loop:
-    the matcher's index build calls this once per entry and the trigram
-    scorer twice per pair, and Counter is slower on short text."""
+    the matcher's index build calls this once per entry, and Counter is
+    slower on short text."""
     if len(text) < 3:
         return {text: 1}
     counts: dict[str, int] = {}
@@ -44,26 +46,39 @@ def char_trigrams(text: str) -> dict[str, int]:
     return counts
 
 
-def trigram_jaccard(a: str, b: str) -> float:
-    """Jaccard similarity of the character-trigram multisets of two strings.
+def _trigram_codes(text: str) -> np.ndarray:
+    """Sorted trigram codes of a string of 3+ chars: each trigram packed
+    into one int64 as ``(c0 << 42) | (c1 << 21) | c2``. Code points are
+    below 2**21, so equal codes are equal trigrams; lone surrogates are
+    code points like any other."""
+    chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
+    codes = (chars[:-2] << 42) | (chars[1:-1] << 21) | chars[2:]
+    codes.sort()
+    return codes
 
-    Symmetric, 1.0 for equal strings, 0.0 for disjoint trigram sets.
+
+def trigram_jaccard(a: str, b: str) -> float:
+    """Jaccard similarity of the character-trigram multisets of two strings
+    (as counted by ``char_trigrams``), built without trigram strings.
+
+    Symmetric, 1.0 for equal strings, 0.0 for disjoint trigram sets. A
+    string shorter than 3 chars is its own single gram, which no other
+    string shares, so it scores 0.0 against anything but itself.
     """
     if not a or not b:
         raise ValueError("trigram_jaccard requires non-empty strings")
     if a == b:
         return 1.0
-    ca = char_trigrams(a)
-    cb = char_trigrams(b)
-    inter = 0
-    for gram, count in ca.items():
-        other = cb.get(gram)
-        if other:
-            inter += min(count, other)
-    if inter == 0:
+    if len(a) < 3 or len(b) < 3:
         return 0.0
-    union = sum(ca.values()) + sum(cb.values()) - inter
-    return inter / union
+    ca = _trigram_codes(a)
+    cb = _trigram_codes(b)
+    # A gram's k-th copy in ca (its rank within its run) is shared when
+    # cb holds more than k copies of it: this counts sum(min(count_a, count_b)).
+    rank = np.arange(len(ca)) - np.searchsorted(ca, ca)
+    in_b = np.searchsorted(cb, ca, "right") - np.searchsorted(cb, ca)
+    inter = int(np.count_nonzero(rank < in_b))
+    return inter / (len(ca) + len(cb) - inter)
 
 
 def tokenize(text: str) -> list[Token]:

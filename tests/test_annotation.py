@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from notesum.annotation import (
     I2B2_CHANNEL,
@@ -114,10 +114,8 @@ def test_similarity_disjoint():
 def test_similarity_matches_trigram_oracle_value():
     # frozen from the oracle above: 11 shared trigrams, union of 12
     got = trigram_jaccard("heart failure", "heart failures")
-    assert got == pytest.approx(11 / 12, abs=1e-12)
-    assert got == pytest.approx(
-        oracle_similarity("heart failure", "heart failures"), abs=1e-12
-    )
+    assert got == 11 / 12
+    assert got == oracle_similarity("heart failure", "heart failures")
 
 
 def test_similarity_rejects_empty_sequences():
@@ -144,7 +142,24 @@ def test_similarity_of_self_is_one(a):
 
 @given(phrases, phrases)
 def test_similarity_agrees_with_oracle(a, b):
-    assert trigram_jaccard(a, b) == pytest.approx(oracle_similarity(a, b), abs=1e-12)
+    assert trigram_jaccard(a, b) == oracle_similarity(a, b)
+
+
+# any code point, lone surrogates included, and a small alphabet of
+# wide and surrogate characters, so short strings and repeated grams recur
+unicode_texts = st.text(st.characters(exclude_categories=()), min_size=1, max_size=12)
+repeating_texts = st.text(alphabet="ab😀\ud800\U0010ffff", min_size=1, max_size=8)
+
+
+@given(st.one_of(unicode_texts, repeating_texts), st.one_of(unicode_texts, repeating_texts))
+@example("aaaa", "aaa")
+@example("abab", "baba")
+@example("ab", "abc")
+@example("a", "ab")
+@example("\ud800😀\ud800", "\ud800😀\ud800😀")
+@example("x\x01\x00", "x\x00\U00010000")  # one gram if code points were packed in 16 bits
+def test_similarity_agrees_with_oracle_on_any_unicode(a, b):
+    assert trigram_jaccard(a, b) == oracle_similarity(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,34 @@ def test_note_with_sentinel_text_is_skipped_not_fatal(workspace):
     assert outs[0] == outs[1]
 
 
+def test_note_with_a_lone_surrogate_is_skipped_and_a_surrogate_pair_kept(workspace):
+    d = workspace["dir"]
+    notes = write_note_file(
+        d / "surrogates.jsonl",
+        [
+            {"doc_id": "a", "text": "pt on cpap \U0001f600 overnight ."},
+            {"doc_id": "b", "text": "sat drifts \ud800 noted ."},
+        ],
+    )
+    assert "\\ud83d\\ude00" in notes.read_text(encoding="utf-8")
+    out, stats = d / "surrogates-out.jsonl", d / "surrogates-stats.json"
+    code = main(
+        [
+            "build-pretrain",
+            "--input", str(notes),
+            "--umls-dict", str(workspace["umls"]),
+            "--i2b2-source", str(workspace["i2b2"]),
+            "--out", str(out),
+            "--stats", str(stats),
+        ]
+    )
+    assert code == EXIT_OK
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["doc_id"] for line in lines] == ["a"]
+    assert "\U0001f600" in lines[0]
+    assert json.loads(stats.read_text())["skipped"] == 1
+
+
 def test_default_onehot_filter_handles_a_large_vocabulary(tmp_path):
     pairs = tmp_path / "pairs.jsonl"
     with open(pairs, "w", encoding="utf-8") as fh:
@@ -546,6 +574,22 @@ MALFORMED_RECORD_CASES = {
         SECTION_NOTE,
         json.dumps({**SECTION_NOTE, "text": []}),
         ["assemble", "--notes", "{f}", "--out", "{d}/o"],
+    ),
+    # json.dumps escapes the lone surrogate as \ud800, which decodes to text no writer can encode
+    "augment-lone-surrogate": (
+        SECTION_NOTE,
+        json.dumps({**SECTION_NOTE, "assessment": "pt on \ud800 ."}),
+        ["augment", "--train", "{f}", "--out", "{d}/o"],
+    ),
+    "assemble-lone-surrogate": (
+        PAIR,
+        json.dumps({**PAIR, "generated": "on cpap \udfff."}),
+        ["assemble", "--notes", "{d}/notes.jsonl", "--augmented", "{f}", "--out", "{d}/o"],
+    ),
+    "filter-lone-surrogate": (
+        PAIR,
+        json.dumps({**PAIR, "source": "pt on \ud800 ."}),
+        ["filter", "--in", "{f}", "--out", "{d}/o"],
     ),
     "evaluate": ({"text": "the cat sat"}, '{"text": null}', ["evaluate", "--pred", "{f}", "--ref", "{f}"]),
     "evaluate-text-after-json": (

@@ -172,6 +172,21 @@ def test_score_pair_reports_per_scorer_and_combined():
     assert scores["combined"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "candidate, reference, want",
+    [
+        (" \t\n", "pt on cpap", 0.0),
+        ("pt on cpap", "  ", 0.0),
+        ("pt", "pt on cpap", 0.0),
+        ("pt on cpap", "p", 0.0),
+        ("CHF", "chf", 1.0),
+        ("Heart failure", "heart FAILURES", 11 / 12),
+    ],
+)
+def test_trigram_scorer_exact_values(candidate, reference, want):
+    assert trigram_scorer(candidate, reference) == want
+
+
 # ---------------------------------------------------------------------------
 # top-fraction filtering
 
