@@ -37,11 +37,11 @@ print("\npolicy decisions:")
 for decision in decisions:
     print(f"  sentence {decision.sentence_index}: {decision.kind.name}")
 
-example = apply_mask(note, sentences, decisions, cfg, doc_id="demo-1")
+example = apply_mask(note, sentences, decisions, doc_id="demo-1")
 print("\nmasked input:")
 print(f"  {example.input_text!r}")
 print("pseudo-summary target:")
 print(f"  {example.target_text!r}")
 
-restored = reconstruct(example.input_text, example.target_text, cfg)
+restored = reconstruct(example.input_text, example.target_text)
 print(f"\nround trip restores the original bytes: {restored == note}")

@@ -34,10 +34,8 @@ print(f"problem list: {problem_list!r}")
 print(f"shared terms to preserve: {terms}")
 
 templates = TemplateSet.defaults()
-target_prompt = instantiate_template(templates.get(LabelId.SAME_THING, len(terms)), terms, source)
-counter_prompt = instantiate_template(
-    templates.get(LabelId.DIFFERENT_TOPICS, len(terms)), terms, source
-)
+target_prompt = instantiate_template(templates[LabelId.SAME_THING, len(terms)], terms, source)
+counter_prompt = instantiate_template(templates[LabelId.DIFFERENT_TOPICS, len(terms)], terms, source)
 print(f"\ntarget prompt:\n  {target_prompt}")
 print(f"counter prompt:\n  {counter_prompt}")
 

@@ -22,6 +22,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, ParseError
+from .jsonl import open_text
 from .text import Token, char_trigrams, normalize, tokenize
 
 log = logging.getLogger(__name__)
@@ -143,7 +144,7 @@ def load_dictionary(path: Union[str, Path], channel: str) -> TermDictionary:
     Duplicate terms (after normalization) collapse to one entry; an empty
     file is a configuration error, an unreadable one an I/O error.
     """
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         terms = [line.strip() for line in fh]
     terms = [t for t in terms if t]
     if not terms:
@@ -274,7 +275,7 @@ class StandoffIndex:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "StandoffIndex":
         records: dict[tuple[str, int], list[tuple[int, int, str]]] = defaultdict(list)
-        with open(path, encoding="utf-8-sig") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BackendError, ConfigurationError, DataError, TemplateError
+from .errors import BackendError, ConfigurationError, DataError
 from .jsonl import is_number, read_jsonl, write_jsonl
 from .seeding import substream
 from .text import _WORD_RE, segment_sentences, word_tokens
@@ -56,49 +56,25 @@ class LabelId(enum.Enum):
         raise DataError(f"unknown label value {value!r}; expected the number 1, 0.5 or 0")
 
 
-@dataclass(frozen=True)
-class InstructionTemplate:
-    """An instruction text with [Term 1]/[Term 2]/[Source] placeholders,
-    ending at the 'Sentence 2:' continuation point."""
-
-    label: LabelId
-    text: str
-
-    def arity(self) -> int:
-        return int(TERM_1 in self.text) + int(TERM_2 in self.text)
-
-
-class TemplateSet:
-    """Templates indexed by (label, number of required terms).
+class TemplateSet(dict):
+    """Instruction texts keyed by (label, number of required terms).
 
     The package ships the DINO-style instructions (Schick & Schütze 2021)
     as one ``templates/label<L>_terms<N>.txt`` file per slot, ``L`` the
-    label value (1, 0.5, 0) and ``N`` the number of terms (0 to 2).
+    label value (1, 0.5, 0) and ``N`` the number of terms (0 to 2). The
+    text for ``N`` terms holds ``N`` term placeholders and one [Source],
+    and ends at the 'Sentence 2:' continuation point.
     """
-
-    def __init__(self, templates: Mapping[tuple[LabelId, int], InstructionTemplate]):
-        self._templates = dict(templates)
 
     @classmethod
     def defaults(cls) -> "TemplateSet":
         """The nine packaged templates."""
         folder = resources.files(__package__) / "templates"
         return cls({
-            (label, arity): InstructionTemplate(
-                label,
-                (folder / f"label{label.value:g}_terms{arity}.txt").read_text(encoding="utf-8").strip(),
-            )
+            (label, n): (folder / f"label{label.value:g}_terms{n}.txt").read_text(encoding="utf-8").strip()
             for label in LabelId
-            for arity in range(MAX_REQUIRED_TERMS + 1)
+            for n in range(MAX_REQUIRED_TERMS + 1)
         })
-
-    def get(self, label: LabelId, arity: int) -> InstructionTemplate:
-        try:
-            return self._templates[(label, arity)]
-        except KeyError:
-            raise ConfigurationError(
-                f"no template for label {label.name} with {arity} terms"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -302,20 +278,12 @@ def select_terms(source: str, problem_list: str) -> list[str]:
     return terms
 
 
-def instantiate_template(
-    template: InstructionTemplate, terms: Sequence[str], source: str
-) -> str:
+def instantiate_template(text: str, terms: Sequence[str], source: str) -> str:
     """Byte-exact placeholder substitution in one pass, so placeholder
-    text inside the source or a term stays literal; the prompt keeps the
-    template's 'Sentence 2:' continuation ending."""
-    needed = template.arity()
-    if len(terms) < needed:
-        raise TemplateError(
-            f"template for label {template.label.name} needs {needed} terms, "
-            f"got {len(terms)}"
-        )
-    values = {SOURCE: source, **dict(zip((TERM_1, TERM_2), terms[:needed]))}
-    return _PLACEHOLDER_RE.sub(lambda m: values.get(m.group(), m.group()), template.text)
+    text inside the source or a term stays literal. ``terms`` holds one
+    term per term placeholder of ``text``."""
+    values = {SOURCE: source, **dict(zip((TERM_1, TERM_2), terms))}
+    return _PLACEHOLDER_RE.sub(lambda m: values[m.group()], text)
 
 
 def suppressed_scores(
@@ -434,11 +402,10 @@ def generate_pair(
     Returns None when the generation drops one of the selected terms.
     """
     terms = select_terms(source, problem_list)
-    arity = len(terms)
-    target_prompt = instantiate_template(templates.get(LabelId.SAME_THING, arity), terms, source)
+    n = len(terms)
+    target_prompt = instantiate_template(templates[LabelId.SAME_THING, n], terms, source)
     counter_prompts = [
-        instantiate_template(templates.get(counter, arity), terms, source)
-        for counter in COUNTER_LABELS
+        instantiate_template(templates[counter, n], terms, source) for counter in COUNTER_LABELS
     ]
     generated = generate(lm, target_prompt, counter_prompts, cfg, rng=rng)
     if not validate_terms(generated, terms):

@@ -24,7 +24,7 @@ from . import filtering
 from . import rouge
 from .annotation import I2B2_CHANNEL, UMLS_CHANNEL, StandoffIndex, load_dictionary
 from .errors import ConfigurationError, DataError, NotesumError
-from .jsonl import is_number, read_jsonl
+from .jsonl import is_number, open_text, read_jsonl
 from .masking import MaskPolicyConfig
 
 log = logging.getLogger("notesum")
@@ -133,8 +133,8 @@ def parse_config(
                 file_values = json.load(fh)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file is not valid JSON: {exc}") from None
+        except ValueError as exc:  # JSON or UTF-8
+            raise ConfigurationError(f"config file {config_path} is not UTF-8 JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise ConfigurationError("config file must hold a JSON object")
         for key, value in file_values.items():
@@ -179,7 +179,7 @@ def _parse_weights(text: str) -> dict:
 def _load_i2b2_source(path: str):
     """A standoff index if the first non-blank line holds a tab, otherwise
     a term dictionary."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         for line in fh:
             if line.strip():
                 return (
@@ -194,7 +194,7 @@ def _read_all_notes(input_path: str, stats=None):
     path = Path(input_path)
     files = [path]
     if path.is_dir():
-        files = sorted(path.glob("*.jsonl")) or sorted(path.glob("*.json"))
+        files = sorted(path.glob("*.jsonl"))
         if not files:
             raise DataError(f"no .jsonl note files under {path}")
     for file in files:
@@ -290,7 +290,7 @@ def _read_eval_file(path: str) -> list[str]:
     """JSON lines, each object's first ``text``/``target``/``input``
     string, if the first non-blank line starts with ``{``; otherwise one
     text per non-blank line."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if lines and lines[0].lstrip().startswith("{"):
         return list(read_jsonl(path, _eval_text))

@@ -154,7 +154,7 @@ def mask_note(
         )
     rng = substream(mask_cfg.seed, "masking", note.doc_id)
     decisions = [choose_mask_source(s, mask_cfg, rng) for s in sentences]
-    example = apply_mask(note.text, sentences, decisions, mask_cfg, doc_id=note.doc_id)
+    example = apply_mask(note.text, sentences, decisions, doc_id=note.doc_id)
     has_umls = any(s.umls_spans for s in sentences)
     has_i2b2 = any(s.i2b2_spans for s in sentences)
     return example, has_umls, has_i2b2, len(sentences)

@@ -21,10 +21,6 @@ class ConfigurationError(NotesumError):
         super().__init__("; ".join(problems))
 
 
-class TemplateError(ConfigurationError):
-    """An instruction template could not be instantiated (missing placeholder value)."""
-
-
 class DataError(NotesumError):
     """Malformed or inconsistent input data (bad record, missing section, ...)."""
 

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, ParseError
-from .jsonl import is_number
+from .jsonl import is_number, open_text
 from .text import trigram_jaccard
 
 DEFAULT_KEEP_FRACTION = 0.15
@@ -57,7 +57,7 @@ class FileEmbedding:
         values = array("d")
         dim: Optional[int] = None
         header: Optional[tuple[int, int]] = None
-        with open(path, encoding="utf-8-sig") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts:

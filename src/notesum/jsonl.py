@@ -1,18 +1,21 @@
-"""Line-delimited JSON record files.
+"""Line-delimited JSON record files, and the UTF-8 rule of every input.
 
 Every file the pipeline passes from stage to stage (notes, the masked
 corpus, paraphrase pairs, training instances) holds one JSON object per
 line. Reading and writing them lives here, so every record file follows
-one rule: blank lines are skipped, every other line must be a JSON
+one rule: blank lines are skipped, every other line must be a UTF-8 JSON
 object, and a bad line is reported as a ParseError naming ``path:line``.
+Every other input file is read through :func:`open_text`.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar, Union
 
 from .errors import DataError, ParseError
 
@@ -33,6 +36,18 @@ def _check_no_lone_surrogate(record: dict) -> None:
         raise DataError(f"lone surrogate {char!r}: a \\u escape that is not half of a pair") from None
 
 
+@contextmanager
+def open_text(path: Union[str, Path]) -> Iterator[TextIO]:
+    """Open a UTF-8 input file, skipping a byte-order mark at its start. A
+    byte that is not UTF-8, met while the ``with`` body reads, is a
+    ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: byte {exc.object[exc.start]:#04x}: {exc.reason}", path=str(path)) from None
+
+
 def read_jsonl(
     path: Union[str, Path],
     parse: Callable[[dict], T],
@@ -40,16 +55,21 @@ def read_jsonl(
 ) -> Iterator[T]:
     """Lazily yield ``parse(record)`` for each JSON object line of ``path``.
 
-    A line that is not a JSON object, that holds a lone surrogate, or
-    whose record ``parse`` rejects with ValueError, KeyError, TypeError
-    or DataError, becomes one ParseError. It is raised, or, when
-    ``on_error`` is given, passed to it and the line skipped.
+    A line that is not UTF-8, that is not a JSON object, that holds a
+    lone surrogate, or whose record ``parse`` rejects with ValueError,
+    KeyError, TypeError or DataError, becomes one ParseError. It is
+    raised, or, when ``on_error`` is given, passed to it and the line
+    skipped. Only a newline byte ends a line; a byte-order mark at the
+    start of the file is skipped.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        if fh.read(3) != codecs.BOM_UTF8:
+            fh.seek(0)
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")  # a UnicodeDecodeError is a ValueError
+                if not line.strip():
+                    continue
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise DataError(f"expected a JSON object, got {type(record).__name__}")

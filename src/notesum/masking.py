@@ -61,12 +61,6 @@ class MaskPolicyConfig:
         if problems:
             raise ConfigurationError(*problems)
 
-    def sentinel(self, i: int) -> str:
-        return SENTINEL_FORMAT.format(i=i)
-
-    def sentinel_pattern(self) -> re.Pattern:
-        return SENTINEL_RE
-
 
 @dataclass(frozen=True)
 class MaskDecision:
@@ -154,7 +148,6 @@ def apply_mask(
     document: str,
     sentences: Sequence[AnnotatedSentence],
     decisions: Sequence[MaskDecision],
-    cfg: MaskPolicyConfig,
     doc_id: str = "",
 ) -> MaskedExample:
     """Rewrite ``document`` with sentinel tokens per the decisions.
@@ -164,7 +157,7 @@ def apply_mask(
     The target concatenates ``sentinel_i + dropped text`` for every mask
     and appends the terminator sentinel.
     """
-    if cfg.sentinel_pattern().search(document):
+    if SENTINEL_RE.search(document):
         raise DataError(
             f"document {doc_id!r} already contains sentinel-format text"
         )
@@ -206,12 +199,13 @@ def apply_mask(
         if start < cursor:
             raise InternalError("masked ranges overlap across sentences")
         input_parts.append(document[cursor:start])
-        input_parts.append(cfg.sentinel(i))
-        target_parts.append(cfg.sentinel(i))
+        sentinel = SENTINEL_FORMAT.format(i=i)
+        input_parts.append(sentinel)
+        target_parts.append(sentinel)
         target_parts.append(document[start:end])
         cursor = end
     input_parts.append(document[cursor:])
-    target_parts.append(cfg.sentinel(len(ranges)))
+    target_parts.append(SENTINEL_FORMAT.format(i=len(ranges)))
     return MaskedExample(
         doc_id=doc_id,
         input_text="".join(input_parts),
@@ -220,20 +214,19 @@ def apply_mask(
     )
 
 
-def _sentinel_indices(pattern: re.Pattern, text: str) -> list[tuple[int, int, int]]:
+def _sentinel_indices(text: str) -> list[tuple[int, int, int]]:
     """(index, match start, match end) for every sentinel in ``text``."""
-    return [(int(m.group(1)), m.start(), m.end()) for m in pattern.finditer(text)]
+    return [(int(m.group(1)), m.start(), m.end()) for m in SENTINEL_RE.finditer(text)]
 
 
-def reconstruct(input_text: str, target_text: str, cfg: MaskPolicyConfig) -> str:
+def reconstruct(input_text: str, target_text: str) -> str:
     """Splice the target's spans back into the input's sentinels.
 
     Inverse of :func:`apply_mask`; raises DataError when the sentinel
     numbering of the two sides is inconsistent.
     """
-    pattern = cfg.sentinel_pattern()
-    in_marks = _sentinel_indices(pattern, input_text)
-    tgt_marks = _sentinel_indices(pattern, target_text)
+    in_marks = _sentinel_indices(input_text)
+    tgt_marks = _sentinel_indices(target_text)
     if [i for i, _, _ in in_marks] != list(range(len(in_marks))):
         raise DataError("input sentinels are not numbered 0..n-1 left to right")
     if [i for i, _, _ in tgt_marks] != list(range(len(tgt_marks))):

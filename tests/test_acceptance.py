@@ -32,6 +32,8 @@ from notesum.filtering import filter_top_fraction
 from notesum.masking import (
     MaskKind,
     MaskPolicyConfig,
+    SENTINEL_FORMAT,
+    SENTINEL_RE,
     choose_mask_source,
     reconstruct,
 )
@@ -74,7 +76,7 @@ def test_criterion_1_masking_round_trip(umls_dict, i2b2_dict):
         start = time.perf_counter()
         examples, _ = build_pretrain_corpus(iter(notes), umls_dict, i2b2_dict, cfg)
         failures = sum(
-            reconstruct(ex.input_text, ex.target_text, cfg) != note.text
+            reconstruct(ex.input_text, ex.target_text) != note.text
             for note, ex in zip(notes, examples)
         )
         elapsed = time.perf_counter() - start
@@ -118,7 +120,7 @@ def test_criterion_3_sentinel_format(umls_dict, i2b2_dict):
     with criterion("criterion 3: sentinels strictly increasing from 0, terminator present (1000 examples)"):
         notes = make_documents(1000, seed=202)
         cfg = MaskPolicyConfig(seed=3)
-        pattern = cfg.sentinel_pattern()
+        pattern = SENTINEL_RE
         examples, _ = build_pretrain_corpus(iter(notes), umls_dict, i2b2_dict, cfg)
         checked = 0
         for ex in examples:
@@ -126,7 +128,7 @@ def test_criterion_3_sentinel_format(umls_dict, i2b2_dict):
             target_ids = [int(m.group(1)) for m in pattern.finditer(ex.target_text)]
             assert input_ids == list(range(ex.num_masks))
             assert target_ids == list(range(ex.num_masks + 1))
-            assert ex.target_text.endswith(cfg.sentinel(ex.num_masks))
+            assert ex.target_text.endswith(SENTINEL_FORMAT.format(i=ex.num_masks))
             checked += 1
         assert checked == 1000
 

@@ -30,7 +30,7 @@ from notesum.augment import (
     write_pairs,
 )
 from notesum.corpus import ProgressNote
-from notesum.errors import BackendError, ConfigurationError, DataError, TemplateError
+from notesum.errors import BackendError, ConfigurationError, DataError
 
 
 def test_exactly_three_labels_exist():
@@ -57,7 +57,7 @@ def test_generation_config_reports_every_problem():
 def test_default_prompt_instantiation_is_byte_exact():
     templates = TemplateSet.defaults()
     prompt = instantiate_template(
-        templates.get(LabelId.SAME_THING, 2),
+        templates[LabelId.SAME_THING, 2],
         ["CPAP", "sat drifts"],
         "pt on CPAP overnight with sat drifts .",
     )
@@ -71,7 +71,7 @@ def test_default_prompt_instantiation_is_byte_exact():
 def test_placeholder_text_in_the_source_stays_literal():
     templates = TemplateSet.defaults()
     prompt = instantiate_template(
-        templates.get(LabelId.SAME_THING, 1), ["cpap"], "note says [Term 1] here"
+        templates[LabelId.SAME_THING, 1], ["cpap"], "note says [Term 1] here"
     )
     assert prompt == (
         "Write two sentences that mean the same thing but keep this healthcare "
@@ -82,16 +82,10 @@ def test_placeholder_text_in_the_source_stays_literal():
 def test_different_topics_template_instantiates():
     templates = TemplateSet.defaults()
     prompt = instantiate_template(
-        templates.get(LabelId.DIFFERENT_TOPICS, 0), [], "pt stable ."
+        templates[LabelId.DIFFERENT_TOPICS, 0], [], "pt stable ."
     )
     assert "different topics" in prompt
     assert prompt.endswith("Sentence 2:")
-
-
-def test_too_few_terms_is_a_template_error():
-    templates = TemplateSet.defaults()
-    with pytest.raises(TemplateError):
-        instantiate_template(templates.get(LabelId.SAME_THING, 2), ["CPAP"], "src")
 
 
 def test_packaged_templates_fill_every_slot_and_follow_the_protocol():
@@ -103,7 +97,7 @@ def test_packaged_templates_fill_every_slot_and_follow_the_protocol():
     templates = TemplateSet.defaults()
     for label in LabelId:
         for n in range(MAX_REQUIRED_TERMS + 1):
-            text = templates.get(label, n).text
+            text = templates[label, n]
             # the term placeholders match the slot's term count
             assert (TERM_1 in text, TERM_2 in text) == (n >= 1, n >= 2), (label, n)
             assert text.count(SOURCE) == 1, (label, n)
@@ -114,14 +108,31 @@ def test_templates_must_end_at_the_continuation_point():
     templates = TemplateSet.defaults()
     for label in LabelId:
         for n in range(MAX_REQUIRED_TERMS + 1):
-            assert templates.get(label, n).text.endswith("Sentence 2:"), (label, n)
+            assert templates[label, n].endswith("Sentence 2:"), (label, n)
 
 
 def test_same_thing_template_must_keep_terms():
     # a SAME_THING rewrite with terms must be told to keep them
     templates = TemplateSet.defaults()
     for n in range(1, MAX_REQUIRED_TERMS + 1):
-        assert "keep" in templates.get(LabelId.SAME_THING, n).text.lower(), n
+        assert "keep" in templates[LabelId.SAME_THING, n].lower(), n
+
+
+# text with no "[", so no placeholder can come from a term or the source
+unbracketed = st.text(st.characters(exclude_characters="["), max_size=20)
+
+
+@given(st.sampled_from(list(LabelId)), st.integers(0, MAX_REQUIRED_TERMS), st.data())
+def test_each_slot_filled_with_its_own_term_count_leaves_no_placeholder(label, n, data):
+    terms = data.draw(st.lists(unbracketed, min_size=n, max_size=n))
+    source = data.draw(unbracketed)
+    text = TemplateSet.defaults()[label, n]
+    prompt = instantiate_template(text, terms, source)
+    assert "[" not in prompt
+    expected = text.replace(SOURCE, source)
+    for placeholder, term in zip((TERM_1, TERM_2), terms):
+        expected = expected.replace(placeholder, term)
+    assert prompt == expected
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ def test_defaults_carry_the_published_constants():
     assert cfg.mask.p_sentence == 0.15
     assert cfg.filter.keep_fraction == 0.15
     assert cfg.generation.max_output_tokens == 40
-    assert cfg.mask.sentinel(0) == "<extra_id_0>"
 
 
 def test_flags_override_config_file(tmp_path):
@@ -345,6 +344,67 @@ def test_note_with_a_lone_surrogate_is_skipped_and_a_surrogate_pair_kept(workspa
     assert json.loads(stats.read_text())["skipped"] == 1
 
 
+def test_note_that_is_not_utf8_is_skipped_and_the_good_note_kept(workspace):
+    d = workspace["dir"]
+    notes = d / "not-utf8.jsonl"
+    notes.write_bytes(
+        json.dumps({"doc_id": "a", "text": "pt on cpap overnight ."}).encode() + b"\n"
+        + b'{"doc_id": "b", "text": "sat drifts \xff noted ."}\n'
+    )
+    out, stats = d / "not-utf8-out.jsonl", d / "not-utf8-stats.json"
+    code = main(
+        [
+            "build-pretrain",
+            "--input", str(notes),
+            "--umls-dict", str(workspace["umls"]),
+            "--i2b2-source", str(workspace["i2b2"]),
+            "--out", str(out),
+            "--stats", str(stats),
+        ]
+    )
+    assert code == EXIT_OK
+    assert [json.loads(line)["doc_id"] for line in out.read_text().splitlines()] == ["a"]
+    assert json.loads(stats.read_text())["skipped"] == 1
+
+
+def test_directory_input_reads_its_jsonl_files_in_name_order(workspace):
+    d = workspace["dir"]
+    folder = d / "note-dir"
+    folder.mkdir()
+    write_note_file(folder / "b.jsonl", [{"doc_id": "b1", "text": "sat drifts noted ."}])
+    write_note_file(folder / "a.jsonl", [{"doc_id": "a1", "text": "pt on cpap ."},
+                                         {"doc_id": "a2", "text": "on lasix ."}])
+    write_note_file(folder / "c.json", [{"doc_id": "c1", "text": "not a .jsonl file ."}])
+    out = d / "dir-out.jsonl"
+    code = main(
+        [
+            "build-pretrain",
+            "--input", str(folder),
+            "--umls-dict", str(workspace["umls"]),
+            "--i2b2-source", str(workspace["i2b2"]),
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    assert [json.loads(line)["doc_id"] for line in out.read_text().splitlines()] == ["a1", "a2", "b1"]
+
+
+def test_directory_without_jsonl_files_exits_data(workspace):
+    folder = workspace["dir"] / "json-dir"
+    folder.mkdir()
+    write_note_file(folder / "notes.json", [{"doc_id": "a", "text": "pt on cpap ."}])
+    code = main(
+        [
+            "build-pretrain",
+            "--input", str(folder),
+            "--umls-dict", str(workspace["umls"]),
+            "--i2b2-source", str(workspace["i2b2"]),
+            "--out", str(workspace["dir"] / "x.jsonl"),
+        ]
+    )
+    assert code == EXIT_DATA
+
+
 def test_default_onehot_filter_handles_a_large_vocabulary(tmp_path):
     pairs = tmp_path / "pairs.jsonl"
     with open(pairs, "w", encoding="utf-8") as fh:
@@ -591,6 +651,27 @@ MALFORMED_RECORD_CASES = {
         json.dumps({**PAIR, "source": "pt on \ud800 ."}),
         ["filter", "--in", "{f}", "--out", "{d}/o"],
     ),
+    # a line with a byte that is not UTF-8 (see the test below)
+    "augment-not-utf8": (
+        SECTION_NOTE,
+        json.dumps(SECTION_NOTE).replace("cpap", "cp\udcffap"),
+        ["augment", "--train", "{f}", "--out", "{d}/o"],
+    ),
+    "assemble-not-utf8": (
+        SECTION_NOTE,
+        json.dumps(SECTION_NOTE).replace("cpap", "cp\udcffap"),
+        ["assemble", "--notes", "{f}", "--out", "{d}/o"],
+    ),
+    "assemble-pair-not-utf8": (
+        PAIR,
+        json.dumps(PAIR).replace("cpap", "cp\udcffap"),
+        ["assemble", "--notes", "{d}/notes.jsonl", "--augmented", "{f}", "--out", "{d}/o"],
+    ),
+    "filter-not-utf8": (
+        PAIR,
+        json.dumps(PAIR).replace("cpap", "cp\udcffap"),
+        ["filter", "--in", "{f}", "--out", "{d}/o"],
+    ),
     "evaluate": ({"text": "the cat sat"}, '{"text": null}', ["evaluate", "--pred", "{f}", "--ref", "{f}"]),
     "evaluate-text-after-json": (
         {"text": "the cat sat"}, "the cat sat", ["evaluate", "--pred", "{f}", "--ref", "{f}"]
@@ -598,21 +679,60 @@ MALFORMED_RECORD_CASES = {
 }
 
 
+def run_notesum(args, **paths):
+    """Run the CLI in its own process, ``{name}`` in ``args`` replaced by
+    ``paths[name]``, and return the completed process."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "notesum", *(a.format(**paths) for a in args)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_RECORD_CASES))
 def test_malformed_record_exits_data_naming_its_line(tmp_path, case):
     good, bad, args = MALFORMED_RECORD_CASES[case]
     (tmp_path / "notes.jsonl").write_text(json.dumps(SECTION_NOTE) + "\n", encoding="utf-8")
     records = tmp_path / "records.jsonl"
-    records.write_text(json.dumps(good) + "\n" + bad + "\n", encoding="utf-8")
-    argv = [a.format(f=records, d=tmp_path) for a in args]
-    src = Path(__file__).resolve().parent.parent / "src"
-    result = subprocess.run(
-        [sys.executable, "-m", "notesum", *argv],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, timeout=120,
-    )
+    # surrogateescape writes a case's "\udcff" as the byte 0xff, which no
+    # UTF-8 text holds; json.dumps has escaped every other surrogate
+    records.write_bytes((json.dumps(good) + "\n" + bad + "\n").encode("utf-8", "surrogateescape"))
+    result = run_notesum(args, f=records, d=tmp_path)
     assert result.returncode == EXIT_DATA, result.stderr
     assert f"{records}:2:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+PRETRAIN = ["build-pretrain", "--input", "{d}/notes.jsonl", "--out", "{d}/o"]
+# case: (input bytes holding a byte no UTF-8 text has, command line with
+# {f} that input, exit code)
+NOT_UTF8_INPUT_CASES = {
+    "umls-dict": (b"cpap\n\xff\n", [*PRETRAIN, "--umls-dict", "{f}", "--i2b2-source", "{d}/terms.txt"], EXIT_DATA),
+    "i2b2-standoff": (
+        b"a\t0\t0\t1\tproblem\n\xff\t0\t0\t1\tproblem\n",
+        [*PRETRAIN, "--umls-dict", "{d}/terms.txt", "--i2b2-source", "{f}"],
+        EXIT_DATA,
+    ),
+    "embedder-file": (b"cpap 1 0\n\xff 0 1\n", ["filter", "--in", "{d}/pairs.jsonl", "--embedder", "file:{f}", "--out", "{d}/o"], EXIT_DATA),
+    "evaluate-pred": (b"the cat sat\n\xff\n", ["evaluate", "--pred", "{f}", "--ref", "{d}/ref.txt"], EXIT_DATA),
+    "evaluate-ref": (b"the cat sat\n\xff\n", ["evaluate", "--pred", "{d}/ref.txt", "--ref", "{f}"], EXIT_DATA),
+    "config": (b'{"embedder": "\xff"}', ["filter", "--in", "{d}/pairs.jsonl", "--config", "{f}", "--out", "{d}/o"], EXIT_CONFIG),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8_INPUT_CASES))
+def test_input_that_is_not_utf8_exits_cleanly_naming_the_file(tmp_path, case):
+    content, args, code = NOT_UTF8_INPUT_CASES[case]
+    write_note_file(tmp_path / "notes.jsonl", [{"doc_id": "a", "text": "pt on cpap ."}])
+    write_note_file(tmp_path / "pairs.jsonl", [PAIR])
+    write_lines(tmp_path / "terms.txt", ["cpap"])
+    write_lines(tmp_path / "ref.txt", ["the cat sat", "on the mat"])
+    bad = tmp_path / "input.bin"
+    bad.write_bytes(content)
+    result = run_notesum(args, f=bad, d=tmp_path)
+    assert result.returncode == code, result.stderr
+    assert f"{bad}" in result.stderr and "UTF-8" in result.stderr
     assert "Traceback" not in result.stderr
 
 

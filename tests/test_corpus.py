@@ -1,7 +1,9 @@
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from notesum.corpus import (
     AnnotationConfig,
@@ -72,8 +74,37 @@ def test_every_example_round_trips(umls_dict, i2b2_dict):
     examples, stats = build_pretrain_corpus(iter(notes), umls_dict, i2b2_dict, cfg)
     for note, example in zip(notes, examples):
         assert example.doc_id == note.doc_id
-        assert reconstruct(example.input_text, example.target_text, cfg) == note.text
+        assert reconstruct(example.input_text, example.target_text) == note.text
     assert stats.masks_total > 0
+
+
+# Pieces of note text: dictionary terms, so that spans get masked, and
+# sentinel and placeholder lookalikes, none of which is a sentinel; the
+# separators may join pieces, and two pieces are real sentinels.
+NOTE_PIECES = st.sampled_from([
+    "pt", "on", "overnight", ".", "noted", "cpap", "heart failure", "sat drifts", "lasix",
+    "<extra_id_", "<extra_id_x>", "<EXTRA_ID_0>", "extra_id_1>", "<extra_id_ 2>",
+    "< extra_id_3>", "<extra_id_4 >", "<extra_id_\n5>", "<", ">", "6>", "[Term 1]", "[Source]",
+    "<extra_id_0>", "<extra_id_17>",
+])
+NOTE_TEXTS = st.lists(
+    st.tuples(NOTE_PIECES, st.sampled_from(["", " ", "  ", "\n", " . "])), min_size=1, max_size=14
+).map(lambda parts: "".join(piece + sep for piece, sep in parts))
+# written out, not imported, so the test does not trust the masker's pattern
+SENTINEL = re.compile(r"<extra_id_\d+>")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(NOTE_TEXTS, min_size=1, max_size=5), st.integers(0, 3))
+def test_lookalike_text_round_trips_and_a_real_sentinel_is_skipped(umls_dict, i2b2_dict, texts, seed):
+    notes = [ProgressNote(doc_id=f"n{i}", text=text) for i, text in enumerate(texts)]
+    kept = [note for note in notes if not SENTINEL.search(note.text)]
+    examples, stats = build_pretrain_corpus(iter(notes), umls_dict, i2b2_dict, MaskPolicyConfig(seed=seed))
+    examples = list(examples)
+    assert [ex.doc_id for ex in examples] == [note.doc_id for note in kept]
+    assert stats.skipped == len(notes) - len(kept)
+    for note, example in zip(kept, examples):
+        assert reconstruct(example.input_text, example.target_text) == note.text
 
 
 def test_same_seed_gives_byte_identical_files(tmp_path, umls_dict, i2b2_dict):

@@ -18,6 +18,7 @@ from notesum.masking import (
     MaskKind,
     MaskPolicyConfig,
     MaskedExample,
+    SENTINEL_FORMAT,
     apply_mask,
     choose_mask_source,
     merge_close_spans,
@@ -76,7 +77,7 @@ def test_sentence_probability_range_checked():
 
 
 def test_default_sentinel_matches_the_published_form():
-    assert MaskPolicyConfig().sentinel(3) == "<extra_id_3>"
+    assert SENTINEL_FORMAT.format(i=3) == "<extra_id_3>"
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +163,7 @@ def fig_decisions(sentences):
 
 def test_two_span_rewrite_matches_hand_application():
     sentences = fig_sentences()
-    example = apply_mask(FIG_DOC, sentences, fig_decisions(sentences), MaskPolicyConfig())
+    example = apply_mask(FIG_DOC, sentences, fig_decisions(sentences))
     assert example.input_text == "pt on <extra_id_0> overnight . noted <extra_id_1> twice ."
     assert example.target_text == "<extra_id_0> CPAP <extra_id_1> sat drifts <extra_id_2>"
     assert example.num_masks == 2
@@ -170,7 +171,7 @@ def test_two_span_rewrite_matches_hand_application():
 
 def test_zero_mask_document_keeps_terminator_only_target():
     sentence = annotated("a b .")
-    example = apply_mask("a b .", [sentence], [MaskDecision(0, MaskKind.NO_MASK)], MaskPolicyConfig())
+    example = apply_mask("a b .", [sentence], [MaskDecision(0, MaskKind.NO_MASK)])
     assert example.input_text == "a b ."
     assert example.target_text == "<extra_id_0>"
     assert example.num_masks == 0
@@ -182,7 +183,6 @@ def test_whole_sentence_mask_of_single_sentence_document():
         "sat drifts noted",
         [sentence],
         [MaskDecision(0, MaskKind.MASK_WHOLE_SENTENCE)],
-        MaskPolicyConfig(),
     )
     assert example.input_text == "<extra_id_0>"
     assert example.target_text == "<extra_id_0> sat drifts noted <extra_id_1>"
@@ -199,20 +199,20 @@ def test_overlapping_spans_are_an_internal_error():
         ),
     )
     with pytest.raises(InternalError):
-        apply_mask("a b c", [sentence], [bad], MaskPolicyConfig())
+        apply_mask("a b c", [sentence], [bad])
 
 
 def test_decisions_must_cover_every_sentence():
     sentence = annotated("a b c")
     with pytest.raises(InternalError):
-        apply_mask("a b c", [sentence], [], MaskPolicyConfig())
+        apply_mask("a b c", [sentence], [])
 
 
 def test_document_with_sentinel_text_is_rejected():
     text = "already has <extra_id_0> inside"
     sentence = annotated(text)
     with pytest.raises(DataError):
-        apply_mask(text, [sentence], [MaskDecision(0, MaskKind.NO_MASK)], MaskPolicyConfig())
+        apply_mask(text, [sentence], [MaskDecision(0, MaskKind.NO_MASK)])
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +221,22 @@ def test_document_with_sentinel_text_is_rejected():
 
 def test_reconstruct_inverts_the_fig_example():
     sentences = fig_sentences()
-    example = apply_mask(FIG_DOC, sentences, fig_decisions(sentences), MaskPolicyConfig())
-    assert reconstruct(example.input_text, example.target_text, MaskPolicyConfig()) == FIG_DOC
+    example = apply_mask(FIG_DOC, sentences, fig_decisions(sentences))
+    assert reconstruct(example.input_text, example.target_text) == FIG_DOC
 
 
 def test_reconstruct_single_splice():
-    assert reconstruct("<extra_id_0>", "<extra_id_0> x <extra_id_1>", MaskPolicyConfig()) == "x"
+    assert reconstruct("<extra_id_0>", "<extra_id_0> x <extra_id_1>") == "x"
 
 
 def test_reconstruct_detects_count_mismatch():
-    cfg = MaskPolicyConfig()
     with pytest.raises(DataError):
-        reconstruct(
-            "a <extra_id_0> b <extra_id_1> c", "<extra_id_0> x <extra_id_1>", cfg
-        )
+        reconstruct("a <extra_id_0> b <extra_id_1> c", "<extra_id_0> x <extra_id_1>")
 
 
 def test_reconstruct_detects_bad_numbering():
-    cfg = MaskPolicyConfig()
     with pytest.raises(DataError):
-        reconstruct("a <extra_id_1> b", "<extra_id_0> x <extra_id_1>", cfg)
+        reconstruct("a <extra_id_1> b", "<extra_id_0> x <extra_id_1>")
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +250,7 @@ def test_round_trip_on_random_documents(umls_dict, i2b2_dict):
         text = make_note_text(rng)
         note = ProgressNote(doc_id=f"d{i}", text=text)
         example, _, _, _ = mask_note(note, umls_dict, i2b2_dict, cfg)
-        assert reconstruct(example.input_text, example.target_text, cfg) == text
+        assert reconstruct(example.input_text, example.target_text) == text
 
 
 SENTINEL_RE = re.compile(r"<extra_id_(\d+)>")
