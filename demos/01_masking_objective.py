@@ -19,7 +19,7 @@ print("document:")
 print(f"  {note!r}")
 
 sentences = []
-for idx, (text, start, _end) in enumerate(segment_sentences(note)):
+for idx, (text, start) in enumerate(segment_sentences(note)):
     annotated = annotate_sentence(text, umls, i2b2, sentence_index=idx, start=start)
     sentences.append(annotated)
     print(f"\nsentence {idx}: {text!r}")
@@ -34,8 +34,8 @@ rng = np.random.default_rng(13)
 decisions = [choose_mask_source(s, cfg, rng) for s in sentences]
 
 print("\npolicy decisions:")
-for decision in decisions:
-    print(f"  sentence {decision.sentence_index}: {decision.kind.name}")
+for idx, decision in enumerate(decisions):
+    print(f"  sentence {idx}: {decision.kind.name}")
 
 example = apply_mask(note, sentences, decisions, doc_id="demo-1")
 print("\nmasked input:")

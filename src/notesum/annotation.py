@@ -56,9 +56,9 @@ class EntitySpan:
 class AnnotatedSentence:
     """A sentence with its tokens and the spans found by each channel.
 
-    Token offsets are relative to ``text``; ``start``/``end`` locate the
-    sentence within its document. Within each channel the spans are
-    non-overlapping and sorted by start.
+    Token offsets are relative to ``text``; ``start`` locates the sentence
+    within its document. Within each channel the spans are non-overlapping
+    and sorted by start.
     """
 
     text: str
@@ -66,8 +66,6 @@ class AnnotatedSentence:
     umls_spans: list[EntitySpan] = field(default_factory=list)
     i2b2_spans: list[EntitySpan] = field(default_factory=list)
     start: int = 0
-    end: int = 0
-    index: int = 0
 
     def channel_spans(self, channel: str) -> list[EntitySpan]:
         return self.umls_spans if channel == UMLS_CHANNEL else self.i2b2_spans
@@ -324,7 +322,7 @@ def annotate_sentence(
     sentence_index: int = 0,
     start: int = 0,
 ) -> AnnotatedSentence:
-    """Populate both channels for one sentence.
+    """Populate both channels for one sentence; ``sentence_index`` keys the standoff lookup.
 
     The channels are independent and may overlap each other; cross-channel
     overlap is resolved later when the masking policy picks one channel.
@@ -353,6 +351,4 @@ def annotate_sentence(
         umls_spans=umls_spans,
         i2b2_spans=i2b2_spans,
         start=start,
-        end=start + len(sentence),
-        index=sentence_index,
     )

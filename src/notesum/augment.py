@@ -368,8 +368,7 @@ def generate(
                 keep = np.argsort(probs)[::-1][: cfg.top_k]
                 mask = np.zeros_like(probs)
                 mask[keep] = probs[keep]
-                total = mask.sum()
-                probs = mask / total if total > 0 else adjusted
+                probs = mask / mask.sum()  # above 0: the argmax is kept
             choice = int(rng.choice(len(vocab), p=probs))
         token = vocab[choice]
         emitted.append(token)
@@ -440,7 +439,7 @@ def augment_notes(
                 note.doc_id,
             )
             continue
-        for idx, (sentence, _start, _end) in enumerate(segment_sentences(note.assessment)):
+        for idx, (sentence, _start) in enumerate(segment_sentences(note.assessment)):
             rng = substream(cfg.seed, "augment", f"{note.doc_id}:{idx}")
             pair = generate_pair(
                 lm,

@@ -289,12 +289,13 @@ def _eval_text(record: dict) -> str:
 def _read_eval_file(path: str) -> list[str]:
     """JSON lines, each object's first ``text``/``target``/``input``
     string, if the first non-blank line starts with ``{``; otherwise one
-    text per non-blank line."""
-    with open_text(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if lines and lines[0].lstrip().startswith("{"):
+    text per non-blank line. Only the one full read rejects non-UTF-8 bytes."""
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
+        first = next((line for line in fh if line.strip()), "")
+    if first.lstrip().startswith("{"):
         return list(read_jsonl(path, _eval_text))
-    return lines
+    with open_text(path) as fh:
+        return [line.rstrip("\n") for line in fh if line.strip()]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

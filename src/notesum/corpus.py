@@ -139,7 +139,7 @@ def mask_note(
     comes from the (seed, doc_id) substream only.
     """
     sentences = []
-    for idx, (sent, start, _end) in enumerate(segment_sentences(note.text)):
+    for idx, (sent, start) in enumerate(segment_sentences(note.text)):
         sentences.append(
             annotate_sentence(
                 sent,

@@ -114,10 +114,7 @@ def assemble_training_set(
             target_text=_require(note, "summary"),
             provenance=Provenance.ORIGINAL,
         )
-        key = (instance.doc_id, instance.input_text)
-        if key in seen:
-            continue
-        seen.add(key)
+        seen.add((instance.doc_id, instance.input_text))  # new: doc_ids are unique
         instances.append(instance)
 
     if target_size < len(instances):

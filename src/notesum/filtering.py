@@ -55,6 +55,7 @@ class FileEmbedding:
         # one flat buffer that the matrix then shares: no second copy of
         # the vectors is alive while the file loads
         values = array("d")
+        linenos = array("l")  # the file line of each row, for norm errors
         dim: Optional[int] = None
         header: Optional[tuple[int, int]] = None
         with open_text(path) as fh:
@@ -83,17 +84,26 @@ class FileEmbedding:
                 if problem is not None:
                     raise ParseError(problem, path=str(path), line=where)
                 dim = len(vec)
-                rows[parts[0]] = len(values) // dim
+                rows[parts[0]] = len(linenos)
+                linenos.append(lineno)
                 values.fromlist(vec)
         if not rows:
             raise ConfigurationError(f"embedding file {path} contains no vectors")
         values.fromlist([0.0] * dim)
         unit = np.frombuffer(values, dtype=np.float64).reshape(-1, dim)
         # row by row this is the arithmetic of a per-call normalization,
-        # so the cosines keep their last bits; blocks bound the temporaries
-        for start in range(0, len(unit), NORMALIZE_BLOCK):
-            block = unit[start : start + NORMALIZE_BLOCK]
-            block /= np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-12)
+        # so the cosines keep their last bits; blocks bound the temporaries.
+        # A norm that overflows or is below the floor gives no unit row.
+        vectors = unit[:-1]  # the appended zero row stays zero
+        for start in range(0, len(vectors), NORMALIZE_BLOCK):
+            block = vectors[start : start + NORMALIZE_BLOCK]
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(block, axis=1, keepdims=True)
+            bad = np.flatnonzero((norms < 1e-12) | (norms == np.inf))
+            if len(bad):
+                message = f"vector norm {norms[bad[0], 0]:g} is infinite or below 1e-12"
+                raise ParseError(message, path=str(path), line=linenos[start + bad[0]])
+            block /= norms
         self._rows = rows
         self._unit = unit
         self._missing = len(unit) - 1

@@ -66,7 +66,6 @@ class MaskPolicyConfig:
 class MaskDecision:
     """The policy's verdict for one sentence."""
 
-    sentence_index: int
     kind: MaskKind
     spans: tuple[EntitySpan, ...] = ()
 
@@ -137,11 +136,11 @@ def choose_mask_source(
         channel = I2B2_CHANNEL
     else:
         if rng.random() < cfg.p_sentence:
-            return MaskDecision(sentence.index, MaskKind.MASK_WHOLE_SENTENCE)
-        return MaskDecision(sentence.index, MaskKind.NO_MASK)
+            return MaskDecision(MaskKind.MASK_WHOLE_SENTENCE)
+        return MaskDecision(MaskKind.NO_MASK)
     spans = merge_close_spans(sentence.channel_spans(channel), sentence)
     kind = MaskKind.MASK_UMLS_SPANS if channel == UMLS_CHANNEL else MaskKind.MASK_I2B2_SPANS
-    return MaskDecision(sentence.index, kind, tuple(spans))
+    return MaskDecision(kind, tuple(spans))
 
 
 def apply_mask(
@@ -150,7 +149,7 @@ def apply_mask(
     decisions: Sequence[MaskDecision],
     doc_id: str = "",
 ) -> MaskedExample:
-    """Rewrite ``document`` with sentinel tokens per the decisions.
+    """Rewrite ``document`` with sentinel tokens, ``decisions[i]`` for ``sentences[i]``.
 
     Masked character ranges are replaced in reading order by sentinels
     numbered from 0; whitespace outside the masked ranges is untouched.
@@ -161,18 +160,16 @@ def apply_mask(
         raise DataError(
             f"document {doc_id!r} already contains sentinel-format text"
         )
-    by_index = {d.sentence_index: d for d in decisions}
-    if len(by_index) != len(decisions) or sorted(by_index) != list(range(len(sentences))):
-        raise InternalError("decisions must cover every sentence index exactly once")
+    if len(decisions) != len(sentences):
+        raise InternalError(f"{len(decisions)} decisions for {len(sentences)} sentences")
 
     # Collect masked character ranges in reading order.
     ranges: list[tuple[int, int]] = []
-    for idx, sentence in enumerate(sentences):
-        decision = by_index[idx]
+    for idx, (sentence, decision) in enumerate(zip(sentences, decisions)):
         if decision.kind is MaskKind.NO_MASK:
             continue
         if decision.kind is MaskKind.MASK_WHOLE_SENTENCE:
-            ranges.append((sentence.start, sentence.end))
+            ranges.append((sentence.start, sentence.start + len(sentence.text)))
             continue
         prev_end = -1
         for span in sorted(decision.spans, key=lambda s: s.start):

@@ -91,12 +91,12 @@ def word_tokens(text: str) -> list[str]:
     return [m.group().lower() for m in _WORD_RE.finditer(text)]
 
 
-def segment_sentences(text: str) -> list[tuple[str, int, int]]:
-    """Split ``text`` into sentences, returning (sentence, start, end) triples.
+def segment_sentences(text: str) -> list[tuple[str, int]]:
+    """Split ``text`` into sentences, returning (sentence, start) pairs.
 
     A sentence ends after a run of terminal punctuation followed by
     whitespace, or at a newline (notes treat line breaks as record
-    boundaries). Offsets cover the trimmed sentence; everything between
+    boundaries). ``start`` locates the trimmed sentence; everything between
     consecutive sentences is pure whitespace, so the concatenation of the
     sentences plus the inter-sentence gaps reproduces ``text`` exactly.
     """
@@ -109,7 +109,7 @@ def segment_sentences(text: str) -> list[tuple[str, int, int]]:
         if ch == "\n":
             cuts.add(i)
             cuts.add(i + 1)
-    sentences: list[tuple[str, int, int]] = []
+    sentences: list[tuple[str, int]] = []
     prev = 0
     for cut in sorted(cuts) + [len(text)]:
         if cut <= prev:
@@ -117,8 +117,7 @@ def segment_sentences(text: str) -> list[tuple[str, int, int]]:
         chunk = text[prev:cut]
         stripped = chunk.strip()
         if stripped:
-            start = prev + len(chunk) - len(chunk.lstrip())
-            sentences.append((stripped, start, start + len(stripped)))
+            sentences.append((stripped, prev + len(chunk) - len(chunk.lstrip())))
         prev = cut
     return sentences
 

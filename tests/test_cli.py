@@ -673,6 +673,11 @@ MALFORMED_RECORD_CASES = {
         ["filter", "--in", "{f}", "--out", "{d}/o"],
     ),
     "evaluate": ({"text": "the cat sat"}, '{"text": null}', ["evaluate", "--pred", "{f}", "--ref", "{f}"]),
+    "evaluate-not-utf8": (
+        {"text": "the cat sat"},
+        json.dumps({"text": "the cat sat"}).replace("cat", "c\udcffat"),
+        ["evaluate", "--pred", "{f}", "--ref", "{f}"],
+    ),
     "evaluate-text-after-json": (
         {"text": "the cat sat"}, "the cat sat", ["evaluate", "--pred", "{f}", "--ref", "{f}"]
     ),

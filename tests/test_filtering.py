@@ -381,6 +381,8 @@ def test_a_token_listed_twice_keeps_its_last_vector(tmp_path):
         ("cpap 1.0 2.0\nvent 1.0\n", 2, "vector for 'vent' has dimension 1, expected 2"),
         ("\n2 3\ncpap 1.0 2.0\n", 2, "header gives dimension 3, vectors have 2"),
         ("cpap 1.0 2.0\nvent 1.0 nan 3.0\n", 2, "vector for 'vent' is empty, non-finite or zero"),
+        ("with 1 0 0\npt 1e308 1e308 1e308\n", 2, "vector norm inf is infinite or below 1e-12"),
+        ("with 1 0 0\npt 1e-200 0 0\n", 2, "vector norm 0 is infinite or below 1e-12"),
     ],
 )
 def test_each_load_error_keeps_its_message_and_line(tmp_path, text, line, message):

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from notesum.annotation import (
     I2B2_CHANNEL,
@@ -41,7 +42,7 @@ class StubRng:
         return self.values.pop(0)
 
 
-def annotated(text, umls=(), i2b2=(), index=0, start=0):
+def annotated(text, umls=(), i2b2=(), start=0):
     tokens = tokenize(text)
 
     def spans(ranges, channel):
@@ -56,8 +57,6 @@ def annotated(text, umls=(), i2b2=(), index=0, start=0):
         umls_spans=spans(umls, UMLS_CHANNEL),
         i2b2_spans=spans(i2b2, I2B2_CHANNEL),
         start=start,
-        end=start + len(text),
-        index=index,
     )
 
 
@@ -122,9 +121,9 @@ def test_no_entities_low_draw_masks_whole_sentence():
 
 def test_decision_kind_must_match_spans():
     with pytest.raises(InternalError):
-        MaskDecision(0, MaskKind.MASK_UMLS_SPANS, ())
+        MaskDecision(MaskKind.MASK_UMLS_SPANS, ())
     with pytest.raises(InternalError):
-        MaskDecision(0, MaskKind.NO_MASK, (EntitySpan(0, 1, "x", UMLS_CHANNEL, 1.0),))
+        MaskDecision(MaskKind.NO_MASK, (EntitySpan(0, 1, "x", UMLS_CHANNEL, 1.0),))
 
 
 def test_spans_with_tiny_gaps_merge():
@@ -149,15 +148,15 @@ FIG_DOC = "pt on CPAP overnight . noted sat drifts twice ."
 
 def fig_sentences():
     segs = segment_sentences(FIG_DOC)
-    s0 = annotated(segs[0][0], umls=[(2, 3)], index=0, start=segs[0][1])
-    s1 = annotated(segs[1][0], i2b2=[(1, 3)], index=1, start=segs[1][1])
+    s0 = annotated(segs[0][0], umls=[(2, 3)], start=segs[0][1])
+    s1 = annotated(segs[1][0], i2b2=[(1, 3)], start=segs[1][1])
     return [s0, s1]
 
 
 def fig_decisions(sentences):
     return [
-        MaskDecision(0, MaskKind.MASK_UMLS_SPANS, tuple(sentences[0].umls_spans)),
-        MaskDecision(1, MaskKind.MASK_I2B2_SPANS, tuple(sentences[1].i2b2_spans)),
+        MaskDecision(MaskKind.MASK_UMLS_SPANS, tuple(sentences[0].umls_spans)),
+        MaskDecision(MaskKind.MASK_I2B2_SPANS, tuple(sentences[1].i2b2_spans)),
     ]
 
 
@@ -171,7 +170,7 @@ def test_two_span_rewrite_matches_hand_application():
 
 def test_zero_mask_document_keeps_terminator_only_target():
     sentence = annotated("a b .")
-    example = apply_mask("a b .", [sentence], [MaskDecision(0, MaskKind.NO_MASK)])
+    example = apply_mask("a b .", [sentence], [MaskDecision(MaskKind.NO_MASK)])
     assert example.input_text == "a b ."
     assert example.target_text == "<extra_id_0>"
     assert example.num_masks == 0
@@ -182,7 +181,7 @@ def test_whole_sentence_mask_of_single_sentence_document():
     example = apply_mask(
         "sat drifts noted",
         [sentence],
-        [MaskDecision(0, MaskKind.MASK_WHOLE_SENTENCE)],
+        [MaskDecision(MaskKind.MASK_WHOLE_SENTENCE)],
     )
     assert example.input_text == "<extra_id_0>"
     assert example.target_text == "<extra_id_0> sat drifts noted <extra_id_1>"
@@ -191,7 +190,6 @@ def test_whole_sentence_mask_of_single_sentence_document():
 def test_overlapping_spans_are_an_internal_error():
     sentence = annotated("a b c", umls=[(0, 2)])
     bad = MaskDecision(
-        0,
         MaskKind.MASK_UMLS_SPANS,
         (
             EntitySpan(0, 2, "a b", UMLS_CHANNEL, 1.0),
@@ -212,7 +210,59 @@ def test_document_with_sentinel_text_is_rejected():
     text = "already has <extra_id_0> inside"
     sentence = annotated(text)
     with pytest.raises(DataError):
-        apply_mask(text, [sentence], [MaskDecision(0, MaskKind.NO_MASK)])
+        apply_mask(text, [sentence], [MaskDecision(MaskKind.NO_MASK)])
+
+
+# Hand-built sentences as a library caller makes them: segment_sentences'
+# pairs, default fields, and token spans drawn at random.
+documents = st.text(alphabet="ab .!\n", min_size=1, max_size=60)
+
+
+def hand_built(document):
+    return [
+        AnnotatedSentence(text=text, tokens=tokenize(text), start=start)
+        for text, start in segment_sentences(document)
+    ]
+
+
+@st.composite
+def random_decision(draw, sentence):
+    kind = draw(st.sampled_from(list(MaskKind)))
+    if kind in (MaskKind.NO_MASK, MaskKind.MASK_WHOLE_SENTENCE):
+        return MaskDecision(kind)
+    cuts = sorted(draw(st.sets(st.integers(0, len(sentence.tokens)), min_size=2)))
+    spans = [EntitySpan(a, b, "", UMLS_CHANNEL, 1.0) for a, b in zip(cuts[::2], cuts[1::2])]
+    return MaskDecision(kind, tuple(spans))
+
+
+@given(st.data(), documents)
+def test_hand_built_sentences_round_trip_under_any_decisions(data, document):
+    sentences = hand_built(document)
+    decisions = [data.draw(random_decision(s)) for s in sentences]
+    example = apply_mask(document, sentences, decisions)
+    assert reconstruct(example.input_text, example.target_text) == document
+
+
+@given(st.data(), documents)
+def test_whole_sentence_decision_masks_exactly_that_sentence(data, document):
+    sentences = hand_built(document)
+    assume(sentences)
+    i = data.draw(st.integers(0, len(sentences) - 1))
+    decisions = [MaskDecision(MaskKind.NO_MASK)] * len(sentences)
+    decisions[i] = MaskDecision(MaskKind.MASK_WHOLE_SENTENCE)
+    example = apply_mask(document, sentences, decisions)
+    s = sentences[i]
+    end = s.start + len(s.text)
+    assert example.input_text == document[: s.start] + "<extra_id_0>" + document[end:]
+    assert example.target_text == f"<extra_id_0> {s.text} <extra_id_1>"
+
+
+@given(st.data(), documents)
+def test_decisions_of_any_other_length_are_an_internal_error(data, document):
+    sentences = hand_built(document)
+    n = data.draw(st.integers(0, len(sentences) + 3).filter(lambda n: n != len(sentences)))
+    with pytest.raises(InternalError):
+        apply_mask(document, sentences, [MaskDecision(MaskKind.NO_MASK)] * n)
 
 
 # ---------------------------------------------------------------------------

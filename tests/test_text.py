@@ -13,11 +13,11 @@ from notesum.text import (
 
 
 def test_segments_on_terminal_punctuation_plus_space():
-    assert [s for s, _, _ in segment_sentences("A b. C d.")] == ["A b.", "C d."]
+    assert [s for s, _ in segment_sentences("A b. C d.")] == ["A b.", "C d."]
 
 
 def test_no_split_point_means_one_sentence():
-    assert [s for s, _, _ in segment_sentences("no terminal punct")] == [
+    assert [s for s, _ in segment_sentences("no terminal punct")] == [
         "no terminal punct"
     ]
 
@@ -27,7 +27,7 @@ def test_empty_text_has_no_sentences():
 
 
 def test_newlines_are_record_boundaries():
-    got = [s for s, _, _ in segment_sentences("line one\nline two\n\nline three")]
+    got = [s for s, _ in segment_sentences("line one\nline two\n\nline three")]
     assert got == ["line one", "line two", "line three"]
 
 
@@ -47,19 +47,19 @@ def _oracle_split(text):
 )
 def test_matches_oracle_on_single_line_text(chunks, ending):
     text = ending.join(chunks) + ending.strip()
-    got = [s for s, _, _ in segment_sentences(text)]
+    got = [s for s, _ in segment_sentences(text)]
     assert got == _oracle_split(text)
 
 
 def join_sentences(text, sentences):
     """Reassemble ``text`` from its segmentation: the gaps between
-    sentences come from ``text`` itself, the sentences from the triples."""
+    sentences come from ``text`` itself, the sentences from the pairs."""
     parts = []
     prev = 0
-    for sentence, start, end in sentences:
+    for sentence, start in sentences:
         parts.append(text[prev:start])
         parts.append(sentence)
-        prev = end
+        prev = start + len(sentence)
     parts.append(text[prev:])
     return "".join(parts)
 
@@ -69,11 +69,11 @@ def test_segmentation_preserves_bytes_and_orders_offsets(text):
     segments = segment_sentences(text)
     assert join_sentences(text, segments) == text
     prev_end = 0
-    for sentence, start, end in segments:
-        assert text[start:end] == sentence
+    for sentence, start in segments:
+        assert text[start : start + len(sentence)] == sentence
         assert start >= prev_end
         assert not text[prev_end:start].strip()
-        prev_end = end
+        prev_end = start + len(sentence)
     assert not text[prev_end:].strip()
 
 
