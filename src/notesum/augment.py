@@ -5,13 +5,16 @@ THING) while the remaining labels act as counter instructions; at each
 decoding step the counter distributions are subtracted from the target
 distribution so the continuation fits only the intended instruction. The
 backbone is :class:`CueBigramLM`, a small cue-conditioned bigram model;
-decoding needs only its ``vocabulary`` and ``next_token_distributions``.
+decoding needs only its ``vocabulary`` and ``next_token_rows``, the sparse
+``(ids, probs, rest)`` row of each prefix, and debiases on the union of
+the rows' ids.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
+import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -36,6 +39,10 @@ _PLACEHOLDER_RE = re.compile("|".join(re.escape(p) for p in (TERM_1, TERM_2, SOU
 STOP_PUNCTUATION = (".", "!", "?")
 MAX_REQUIRED_TERMS = 2
 BIGRAM_SMOOTHING = 0.01
+
+# A next-token row: ascending token ids, their probabilities, and the one
+# probability every other token shares.
+Row = tuple[np.ndarray, np.ndarray, float]
 
 
 class LabelId(enum.Enum):
@@ -93,8 +100,8 @@ class GenerationConfig:
             problems.append(
                 f"max_output_tokens: must be >= 1, got {self.max_output_tokens}"
             )
-        if not self.lam >= 0:  # written so that NaN fails
-            problems.append(f"lam: must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:  # written so that NaN fails
+            problems.append(f"lam: must be a finite number >= 0, got {self.lam}")
         if self.top_k is not None and self.top_k < 1:
             problems.append(f"top_k: must be >= 1, got {self.top_k}")
         if problems:
@@ -153,8 +160,9 @@ class CueBigramLM:
 
     Table memory is O(observed bigrams): a context keeps the ids of the
     tokens it has seen, their probabilities, and the one probability every
-    other token shares. Each call rebuilds the rows it returns, byte for
-    byte equal to the dense smoothed row divided by its sum.
+    other token shares. Decoding reads these rows as stored;
+    ``next_token_distribution`` densifies one, byte for byte equal to the
+    dense smoothed row divided by its sum.
     """
 
     def __init__(
@@ -168,10 +176,10 @@ class CueBigramLM:
             raise ConfigurationError("vocabulary must be non-empty")
         self._ids = {w: i for i, w in enumerate(self._vocab)}
         self._cues = frozenset(cues)
-        # (ids, probabilities, off-support probability) per context; the
-        # normalizer is the sum of the dense smoothed row, built in one
-        # reused buffer, so the rows densify to the same bytes.
-        self._table: dict[tuple[Optional[str], str], tuple[np.ndarray, np.ndarray, float]] = {}
+        # (ascending ids, probabilities, off-support probability) per
+        # context; the normalizer is the sum of the dense smoothed row,
+        # built in one reused buffer, so the rows densify to the same bytes.
+        self._table: dict[tuple[Optional[str], str], Row] = {}
         dense = np.empty(len(self._vocab))
         for (cue, prev), weights in table.items():
             try:
@@ -181,6 +189,7 @@ class CueBigramLM:
             dense.fill(BIGRAM_SMOOTHING)
             dense[ids] += np.array([float(w) for w in weights.values()])
             z = dense.sum()
+            ids.sort()
             self._table[(cue, prev)] = (ids, dense[ids] / z, BIGRAM_SMOOTHING / z)
         self._uniform = (np.empty(0, dtype=np.intp), np.empty(0), 1.0 / len(self._vocab))
 
@@ -213,7 +222,7 @@ class CueBigramLM:
     def vocabulary(self) -> Sequence[str]:
         return self._vocab
 
-    def _row(self, prefix: Sequence[str]) -> tuple[np.ndarray, np.ndarray, float]:
+    def _row(self, prefix: Sequence[str]) -> Row:
         cue = None
         if self._cues:  # a cue-free model, as the pipeline builds, skips the scan
             for token in reversed(prefix):
@@ -227,22 +236,16 @@ class CueBigramLM:
                 return row
         return self._uniform
 
-    def next_token_distribution(self, prefix: Sequence[str]) -> np.ndarray:
-        return self.next_token_distributions([prefix])[0]
+    def next_token_rows(self, prefixes: Sequence[Sequence[str]]) -> list[Row]:
+        """The stored row of each prefix's context, not to be written to;
+        prefixes of one context share one row object."""
+        return [self._row(prefix) for prefix in prefixes]
 
-    def next_token_distributions(self, prefixes: Sequence[Sequence[str]]) -> np.ndarray:
-        """One (len(prefixes), len(vocabulary())) matrix, a row per prefix;
-        prefixes that resolve to one context share one densified row."""
-        out = np.empty((len(prefixes), len(self._vocab)))
-        first: dict[int, int] = {}
-        for i, prefix in enumerate(prefixes):
-            ids, probs, rest = row = self._row(prefix)
-            j = first.setdefault(id(row), i)
-            if j == i:
-                out[i].fill(rest)
-                out[i, ids] = probs
-            else:
-                out[i] = out[j]
+    def next_token_distribution(self, prefix: Sequence[str]) -> np.ndarray:
+        """The dense next-token distribution of one prefix."""
+        ids, probs, rest = self._row(prefix)
+        out = np.full(len(self._vocab), rest)
+        out[ids] = probs
         return out
 
 
@@ -258,14 +261,16 @@ def select_terms(source: str, problem_list: str) -> list[str]:
     src_words = _WORD_RE.findall(source)
     src_norm = [w.lower() for w in src_words]
     ref_grams: set[tuple[str, ...]] = set()
+    longest = 0  # no longer n-gram of the source can be in ref_grams
     for problem in problem_list.splitlines():
         ref_norm = word_tokens(problem)
-        for n in range(1, len(src_norm) + 1):
+        longest = max(longest, len(ref_norm))
+        for n in range(1, min(len(src_norm), len(ref_norm)) + 1):
             for i in range(len(ref_norm) - n + 1):
                 ref_grams.add(tuple(ref_norm[i : i + n]))
     taken: set[int] = set()
     terms: list[str] = []
-    for n in range(len(src_norm), 0, -1):
+    for n in range(min(len(src_norm), longest), 0, -1):
         for i in range(len(src_norm) - n + 1):
             positions = range(i, i + n)
             if any(p in taken for p in positions):
@@ -296,13 +301,16 @@ def suppressed_scores(
     p_target = np.asarray(p_target, dtype=float)
     if len(p_counters) == 0:
         return p_target.copy()
-    stacked = np.asarray(p_counters, dtype=float)
-    if stacked.shape[1:] != p_target.shape:
+    if len(p_counters) == 1:  # one counter is its own maximum
+        strongest = np.asarray(p_counters[0], dtype=float)
+    else:
+        strongest = np.asarray(p_counters, dtype=float).max(axis=0)
+    if strongest.shape != p_target.shape:
         raise ValueError(
-            f"counter distributions have shape {stacked.shape[1:]}, "
+            f"counter distributions have shape {strongest.shape}, "
             f"target has {p_target.shape}"
         )
-    return np.maximum(0.0, p_target - lam * stacked.max(axis=0))
+    return np.maximum(0.0, p_target - lam * strongest)
 
 
 def self_debias_step(
@@ -321,16 +329,74 @@ def self_debias_step(
     return scores / total
 
 
-def _check_distributions(dists: np.ndarray, rows: int, vocab_size: int) -> np.ndarray:
-    dists = np.asarray(dists, dtype=float)
-    if dists.shape != (rows, vocab_size):
-        raise BackendError(
-            f"language model returned shape {dists.shape}, expected ({rows}, {vocab_size})"
-        )
-    # written so that NaN fails: every comparison with NaN is False
-    if not (dists >= 0).all() or (np.abs(dists.sum(axis=1) - 1.0) > 1e-9).any():
-        raise BackendError("language model returned an invalid distribution")
-    return dists
+def _check_rows(rows: Sequence, count: int, vocab_size: int) -> list[Row]:
+    """The backend's rows as arrays, each distinct row checked once: ids
+    1-D integers, strictly increasing and inside the vocabulary, one
+    probability per id, no value negative or NaN, and a mass within 1e-9
+    of 1 (which an infinite value cannot have)."""
+    if len(rows) != count:
+        raise BackendError(f"language model returned {len(rows)} rows, expected {count}")
+    checked: dict[int, Row] = {}
+    for row in rows:
+        if id(row) in checked:
+            continue
+        try:
+            ids, probs, rest = row
+            ids, probs, rest = np.asarray(ids), np.asarray(probs, dtype=float), float(rest)
+        except (TypeError, ValueError):
+            raise BackendError("language model returned a row that is not (ids, probs, rest)") from None
+        if ids.ndim != 1 or ids.dtype.kind not in "iu" or probs.shape != ids.shape:
+            raise BackendError(
+                f"language model returned ids of shape {ids.shape} and dtype {ids.dtype} "
+                f"with probabilities of shape {probs.shape}"
+            )
+        if len(ids) and not (ids[0] >= 0 and ids[-1] < vocab_size and (ids[1:] > ids[:-1]).all()):
+            raise BackendError("language model returned ids that are not increasing vocabulary positions")
+        mass = probs.sum() + rest * (vocab_size - len(ids))
+        # written so that NaN fails: every comparison with NaN is False (an
+        # empty row's minimum is the initial inf)
+        if not (probs.min(initial=np.inf) >= 0 and rest >= 0 and abs(mass - 1.0) <= 1e-9):
+            raise BackendError("language model returned an invalid distribution")
+        checked[id(row)] = (ids, probs, rest)
+    return [checked[id(row)] for row in rows]
+
+
+def _on_union(rows: Sequence[Row]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sorted union of the rows' ids, and each row's probabilities on it."""
+    ids = rows[0][0]
+    if all(row_ids is ids for row_ids, _, _ in rows[1:]):
+        return ids, [probs for _, probs, _ in rows]
+    merged = np.sort(np.concatenate([row_ids for row_ids, _, _ in rows]))
+    first = np.ones(len(merged), dtype=bool)
+    first[1:] = merged[1:] != merged[:-1]
+    ids = merged[first]
+    values = []
+    for row_ids, probs, rest in rows:
+        on_union = np.full(len(ids), rest)
+        on_union[np.searchsorted(ids, row_ids)] = probs
+        values.append(on_union)
+    return ids, values
+
+
+def _debiased(rows: Sequence[Row], lam: float, vocab_size: int) -> np.ndarray:
+    """``self_debias_step`` of the first row against the others, scored on
+    the union of their ids and once for the probability every other token
+    shares. Only the result is vocabulary-wide, so its sum, and with it
+    every probability, has the bytes of the dense computation."""
+    target, counters = rows[0], list({id(row): row for row in rows[1:]}.values())
+    ids, (p_target, *p_counters) = _on_union([target, *counters])
+    scores = suppressed_scores(p_target, p_counters, lam)
+    other = suppressed_scores(target[2], [rest for _, _, rest in counters], lam)
+    # scores are >= 0, so the dense sum is 0 exactly when none is positive;
+    # the shared score counts only if some token is off the union
+    if scores.any() or (len(ids) < vocab_size and other > 0):
+        out = np.full(vocab_size, other)
+        out[ids] = scores
+        out /= out.sum()
+    else:  # every score clamped to 0: the target distribution
+        out = np.full(vocab_size, target[2])
+        out[ids] = p_target
+    return out
 
 
 def generate(
@@ -343,10 +409,11 @@ def generate(
     """Decode a continuation of ``target_prompt`` away from the counters.
 
     Every emitted token extends the target prefix and every counter prefix
-    alike; each step asks the model for all prefixes' distributions in one
-    ``next_token_distributions`` call. Decoding stops at sentence-final
-    punctuation or at the output cap. Greedy by default; sampling
-    (optionally top-k) uses the supplied or seeded generator.
+    alike; each step asks the model for all prefixes' sparse rows in one
+    ``next_token_rows`` call and debiases on the union of their ids.
+    Decoding stops at sentence-final punctuation or at the output cap.
+    Greedy by default; sampling (optionally top-k) uses the supplied or
+    seeded generator.
     """
     vocab = lm.vocabulary()
     prefixes = [prompt.split() for prompt in (target_prompt, *counter_prompts)]
@@ -354,14 +421,12 @@ def generate(
         rng = np.random.default_rng(cfg.seed)
     emitted: list[str] = []
     for _ in range(cfg.max_output_tokens):
-        dists = _check_distributions(
-            lm.next_token_distributions([prefix + emitted for prefix in prefixes]),
-            len(prefixes),
-            len(vocab),
+        rows = _check_rows(
+            lm.next_token_rows([prefix + emitted for prefix in prefixes]), len(prefixes), len(vocab)
         )
-        adjusted = self_debias_step(dists[0], dists[1:], cfg.lam)
+        adjusted = _debiased(rows, cfg.lam, len(vocab))
         if cfg.greedy:
-            choice = int(np.argmax(adjusted))
+            choice = int(adjusted.argmax())
         else:
             probs = adjusted
             if cfg.top_k is not None and cfg.top_k < len(vocab):

@@ -44,7 +44,7 @@ def test_exactly_three_labels_exist():
 
 
 def test_generation_config_reports_every_problem():
-    for lam in (-1.0, float("nan")):
+    for lam in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigurationError) as exc:
             GenerationConfig(max_output_tokens=0, lam=lam, top_k=0)
         assert [p.split(":")[0] for p in exc.value.problems] == [
@@ -305,26 +305,57 @@ def test_sampling_is_deterministic_under_a_seed():
     assert a == b
 
 
+def backend_row(ids, probs, rest):
+    return np.array(ids, dtype=np.intp), np.array(probs, dtype=float), rest
+
+
+# rows over the vocabulary [a, b]; RowLM gives a fault to the counters only
+GOOD_ROW = backend_row([0], [0.9], 0.1)
+BROKEN_ROWS = {
+    "mass above 1": backend_row([0, 1], [0.9, 0.9], 0.0),
+    "nan probability": backend_row([0], [np.nan], 0.1),
+    "infinite probability": backend_row([0], [np.inf], 0.1),
+    "negative probability": backend_row([0, 1], [1.5, -0.5], 0.0),
+    "id out of range": backend_row([0, 2], [0.5, 0.5], 0.0),
+    "negative id": backend_row([-1, 0], [0.5, 0.5], 0.0),
+    "repeated ids": backend_row([0, 0], [0.5, 0.5], 0.0),
+    "unsorted ids": backend_row([1, 0], [0.5, 0.5], 0.0),
+    "float ids": (np.array([0.0]), np.array([0.9]), 0.1),
+    "2-D ids": (np.array([[0]], dtype=np.intp), np.array([[0.9]]), 0.1),
+    "ids/probs length mismatch": backend_row([0, 1], [1.0], 0.0),
+    "nan rest": backend_row([0], [0.5], np.nan),
+    "nan rest beside a full support": backend_row([0, 1], [0.5, 0.5], np.nan),
+    "negative rest": backend_row([0], [1.5], -0.5),
+    "mass off by more than 1e-9": backend_row([0], [0.5], 0.5 + 2e-9),
+    "not a triple": (np.array([0], dtype=np.intp), np.array([0.9])),
+}
+
+
+class RowLM:
+    """Gives ``row`` for every prefix but the first, which gets GOOD_ROW;
+    ``extra`` rows are appended to each answer."""
+
+    def __init__(self, row, extra=0):
+        self.row, self.extra = row, extra
+
+    def vocabulary(self):
+        return ["a", "b"]
+
+    def next_token_rows(self, prefixes):
+        return [GOOD_ROW] + [self.row] * (len(prefixes) - 1 + self.extra)
+
+
 def test_broken_backend_is_reported():
-    broken = (
-        lambda k: np.full((k, 2), 0.9),
-        lambda k: np.full((k, 2), np.nan),
-        # rows of three tokens over a two-token vocabulary
-        lambda k: np.full((k, 3), 1.0 / 3),
-    )
-    for distributions in broken:
-
-        class BadLM:
-            def vocabulary(self):
-                return ["a", "b"]
-
-            def next_token_distributions(self, prefixes):
-                return distributions(len(prefixes))
-
-        for greedy in (True, False):
-            cfg = GenerationConfig(max_output_tokens=2, greedy=greedy)
+    cases = [(name, RowLM(row)) for name, row in BROKEN_ROWS.items()]
+    cases += [("one row too many", RowLM(GOOD_ROW, extra=1)), ("one row too few", RowLM(GOOD_ROW, extra=-1))]
+    for greedy in (True, False):
+        cfg = GenerationConfig(max_output_tokens=2, greedy=greedy)
+        # within 1e-9 of mass 1 passes, so only the faults below fail
+        generate(RowLM(backend_row([0], [0.5], 0.5 + 5e-10)), "x", ["y z"], cfg)
+        for name, lm in cases:
             with pytest.raises(BackendError):
-                generate(BadLM(), "x", ["y z"], cfg)
+                generate(lm, "x", ["y z"], cfg)
+                pytest.fail(f"{name} passed the check")
 
 
 def dense_reference_row(vocab, table, cues, prefix):
@@ -360,12 +391,16 @@ def bigram_tables(draw):
 def test_sparse_rows_equal_the_dense_formula_byte_for_byte(case):
     vocab, table, cues, prefixes = case
     lm = CueBigramLM(vocab, table, cues=cues)
-    rows = lm.next_token_distributions(prefixes)
-    assert rows.shape == (len(prefixes), len(vocab))
-    for prefix, row in zip(prefixes, rows):
+    rows = lm.next_token_rows(prefixes)
+    assert len(rows) == len(prefixes)
+    for prefix, (ids, probs, rest) in zip(prefixes, rows):
         dist = lm.next_token_distribution(prefix)
         assert dist.tobytes() == dense_reference_row(vocab, table, cues, prefix).tobytes()
-        assert row.tobytes() == dist.tobytes()
+        # a row's ids ascend, and it densifies to the same bytes
+        assert ids.dtype == np.intp and (ids[1:] > ids[:-1]).all()
+        dense = np.full(len(vocab), rest)
+        dense[ids] = probs
+        assert dense.tobytes() == dist.tobytes()
 
 
 def test_last_cue_wins_and_contexts_fall_back_in_order():
@@ -423,21 +458,52 @@ def test_bigram_table_memory_grows_with_observed_bigrams():
     assert peak < 16 * 2**20
 
 
-def reference_greedy_decode(lm, target_prompt, counter_prompts, lam, max_tokens):
-    """Greedy self-debiased decoding from one next_token_distribution
-    call per prefix and step."""
+def reference_decode(lm, prompts, cfg):
+    """Self-debiased decoding from one dense next_token_distribution call
+    per prefix and step, sampling from the generator ``generate`` seeds."""
     vocab = lm.vocabulary()
-    prefixes = [p.split() for p in (target_prompt, *counter_prompts)]
+    rng = np.random.default_rng(cfg.seed)
+    prefixes = [p.split() for p in prompts]
     emitted = []
-    for _ in range(max_tokens):
+    for _ in range(cfg.max_output_tokens):
         p_t = lm.next_token_distribution(prefixes[0] + emitted)
-        p_c = np.max([lm.next_token_distribution(p + emitted) for p in prefixes[1:]], axis=0)
-        scores = np.maximum(0.0, p_t - lam * p_c)
+        scores = p_t
+        if len(prefixes) > 1:
+            p_c = np.max([lm.next_token_distribution(p + emitted) for p in prefixes[1:]], axis=0)
+            scores = np.maximum(0.0, p_t - cfg.lam * p_c)
         dist = p_t if scores.sum() <= 0.0 else scores / scores.sum()
-        emitted.append(vocab[int(np.argmax(dist))])
+        if cfg.greedy:
+            choice = int(np.argmax(dist))
+        else:
+            if cfg.top_k is not None and cfg.top_k < len(vocab):
+                keep = np.argsort(dist)[::-1][: cfg.top_k]
+                top = np.zeros_like(dist)
+                top[keep] = dist[keep]
+                dist = top / top.sum()
+            choice = int(rng.choice(len(vocab), p=dist))
+        emitted.append(vocab[choice])
         if emitted[-1].endswith((".", "!", "?")):
             break
     return " ".join(emitted)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("mode", ["greedy", "sampled", "top-k"])
+@given(case=bigram_tables(), seed=st.integers(0, 2**16), top_k=st.integers(1, 4))
+def test_generate_matches_the_reference_decoder_on_drawn_tables(lam, mode, case, seed, top_k):
+    # the cues make target and counter rows that differ, overlap or are
+    # disjoint; empty and uniform rows are among them
+    vocab, table, cues, prefixes = case
+    lm = CueBigramLM(vocab, table, cues=cues)
+    prompts = [" ".join(prefix) for prefix in prefixes]
+    cfg = GenerationConfig(
+        max_output_tokens=6,
+        lam=lam,
+        greedy=mode == "greedy",
+        top_k=top_k if mode == "top-k" else None,
+        seed=seed,
+    )
+    assert generate(lm, prompts[0], prompts[1:], cfg) == reference_decode(lm, prompts, cfg)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
@@ -457,8 +523,18 @@ def reference_greedy_decode(lm, target_prompt, counter_prompts, lam, max_tokens)
 )
 def test_generate_matches_a_per_prefix_reference_decoder(lm, prompts, lam):
     cfg = GenerationConfig(max_output_tokens=12, lam=lam)
-    expected = reference_greedy_decode(lm, prompts[0], prompts[1:], lam, cfg.max_output_tokens)
-    assert generate(lm, prompts[0], prompts[1:], cfg) == expected
+    assert generate(lm, prompts[0], prompts[1:], cfg) == reference_decode(lm, prompts, cfg)
+
+
+def test_full_support_rows_that_clamp_to_zero_fall_back_to_the_target():
+    # both contexts have seen every token, in one ratio: at lam 1 every
+    # score clamps to 0, while the rows' off-support values, which no
+    # token takes, differ
+    table = {("t", ":"): {"a": 1, "b": 1}, ("c", ":"): {"a": 5, "b": 5}}
+    lm = CueBigramLM(["a", "b"], table, cues={"t", "c"})
+    for greedy in (True, False):
+        cfg = GenerationConfig(max_output_tokens=4, greedy=greedy, seed=3)
+        assert generate(lm, "t :", ["c :"], cfg) == reference_decode(lm, ["t :", "c :"], cfg)
 
 
 def test_bigram_lm_trains_from_corpus():
@@ -496,7 +572,6 @@ class EchoLM:
     def _row(self, prefix):
         marker = [i for i, t in enumerate(prefix) if t == "1:"]
         emitted_after = prefix[prefix.index("2:") + 1 :] if "2:" in prefix else []
-        dist = np.zeros(len(self._vocab))
         if marker:
             source = prefix[marker[0] + 1 :]
             source = source[: source.index("Sentence")] if "Sentence" in source else source
@@ -504,11 +579,10 @@ class EchoLM:
             token = source[idx] if idx < len(source) else "."
         else:
             token = "."
-        dist[self._vocab.index(token)] = 1.0
-        return dist
+        return backend_row([self._vocab.index(token)], [1.0], 0.0)
 
-    def next_token_distributions(self, prefixes):
-        return np.stack([self._row(p) for p in prefixes])
+    def next_token_rows(self, prefixes):
+        return [self._row(p) for p in prefixes]
 
 
 def test_generate_pair_keeps_required_terms():

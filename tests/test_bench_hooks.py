@@ -53,6 +53,27 @@ print("ok")
 """
 
 
+# The two augment layers whose time the sparse decode step moves.
+AUGMENT_SCRIPT = """
+import sys
+sys.path.insert(0, "bench")
+import tracing
+from notesum import augment
+
+tracer = tracing.Tracer()
+patches = tracing.install(tracer)
+try:
+    lm = augment.CueBigramLM.from_corpus(["pt stable on cpap overnight .", "cpap stable ."])
+    augment.generate_pair(lm, "pt stable on cpap overnight .", "cpap", augment.TemplateSet.defaults(),
+                          augment.GenerationConfig(max_output_tokens=5))
+finally:
+    patches.restore()
+assert tracer.calls["augment.generate"] > 0, tracer.calls
+assert tracer.calls["augment.select_terms"] > 0, tracer.calls
+print("ok")
+"""
+
+
 def run_script(script):
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -70,3 +91,7 @@ def test_tracer_installs_and_restores_every_hook():
 
 def test_traced_matcher_counts_the_windows_it_scores():
     run_script(MATCHER_SCRIPT)
+
+
+def test_traced_augment_counts_decoding_and_term_selection():
+    run_script(AUGMENT_SCRIPT)

@@ -76,6 +76,21 @@ def test_cli_owned_settings_are_checked_with_the_stage_configs():
         assert f"{name}:" in message
 
 
+def test_infinite_lambda_exits_config_naming_lam(tmp_path, caplog):
+    # inf * 0 is NaN, so an infinite strength would decode from NaN scores
+    train = tmp_path / "train.jsonl"
+    train.write_text(json.dumps(SECTION_NOTE) + "\n", encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lam": float("inf")}), encoding="utf-8")
+    assert "Infinity" in config.read_text()
+    args = ["augment", "--train", str(train), "--out", str(tmp_path / "o")]
+    for extra in (["--lambda", "inf"], ["--config", str(config)]):
+        caplog.clear()
+        assert main(args + extra) == EXIT_CONFIG
+        assert "\n  lam: must be a finite number >= 0, got inf" in caplog.text
+    assert main(args + ["--lambda", "1e308"]) == EXIT_OK
+
+
 def test_unknown_config_key_is_an_error(tmp_path, caplog):
     config = tmp_path / "cfg.json"
     # p_i2b2 is 1 - p_umls and the i2b2 format is read off the file; the

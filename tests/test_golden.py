@@ -17,6 +17,10 @@ FIXTURE = Path(__file__).resolve().parent / "golden"
 
 # Computed with the earlier matcher, which rebuilt each window's keys and
 # counted its overlaps afresh; the one-pass matcher writes the same bytes.
+# augment-half-lambda was computed with the dense decode step, which scored
+# three vocabulary-wide rows; at lambda 0.5 the scores stay positive, so it
+# pins the renormalized distribution that sampling reads, where the two
+# other augment cases (lambda 1) fall back to the target's.
 GOLDEN = {
     "pretrain-dict": "4c43dfbd6b0e8c5bdeb47fae93f731609edcc0adc83cefeafe1265604f9025e1",
     "pretrain-dict-stats": "03d24059bef83862a30a47577aa3ebad51c0ca0d043e145a98853ccc2b506fbd",
@@ -24,6 +28,7 @@ GOLDEN = {
     "pretrain-standoff-stats": "70d3a0bd8ce2ea256a12f2005233afb835602d01c0d5431327e05996d846b1ef",
     "augment-greedy": "7b2310c818877905c8e8235fc63c2db7fd1a9fe6c98b5d84de50a932ba4b4fc1",
     "augment-sampled": "1afc306fe9474069ee37dadc7c2f0509f72381fc5c7c5c0713ee87c4cd2d5ee9",
+    "augment-half-lambda": "edcad35a3de0f5ca20d5ea47755740449aa1dd275b46dfd9f6eb0f79b32e3286",
     "filter": "ba9a6c660d97ce5531c7aa477d13d03ff03a35a6cc5ca7fba10851096ae3bc64",
     "assemble": "11e13d302559fcffbf5d040b4de9cb4488335ab739ad9aa585250d2683dd88c6",
     "evaluate": "7a72332d429510321ae783e1d6b5f02a557e522621c630e4133b985f0baf66cc",
@@ -52,6 +57,8 @@ def chain_outputs(out: Path) -> dict[str, bytes]:
         "augment-greedy": ["augment", "--train", FIXTURE / "sections.jsonl", "--seed", "5"],
         "augment-sampled": ["augment", "--train", FIXTURE / "sections.jsonl", "--seed", "5",
                             "--sampling", "--top-k", "3"],
+        "augment-half-lambda": ["augment", "--train", FIXTURE / "sections.jsonl", "--seed", "5",
+                                "--sampling", "--lambda", "0.5"],
         "filter": ["filter", "--in", out / "augment-sampled", "--keep", "0.5",
                    "--embedder", f"file:{FIXTURE / 'vectors.txt'}"],
         "assemble": ["assemble", "--notes", FIXTURE / "sections.jsonl", "--augmented", out / "filter",
