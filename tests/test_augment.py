@@ -309,7 +309,7 @@ def backend_row(ids, probs, rest):
     return np.array(ids, dtype=np.intp), np.array(probs, dtype=float), rest
 
 
-# rows over the vocabulary [a, b]; RowLM gives a fault to the counters only
+# rows over the vocabulary [a, b]
 GOOD_ROW = backend_row([0], [0.9], 0.1)
 BROKEN_ROWS = {
     "mass above 1": backend_row([0, 1], [0.9, 0.9], 0.0),
@@ -332,30 +332,44 @@ BROKEN_ROWS = {
 
 
 class RowLM:
-    """Gives ``row`` for every prefix but the first, which gets GOOD_ROW;
-    ``extra`` rows are appended to each answer."""
+    """Gives ``target`` for the first prefix and ``counter`` for every
+    other; ``extra`` rows are appended to each answer."""
 
-    def __init__(self, row, extra=0):
-        self.row, self.extra = row, extra
+    def __init__(self, counter, target=GOOD_ROW, extra=0):
+        self.counter, self.target, self.extra = counter, target, extra
 
     def vocabulary(self):
         return ["a", "b"]
 
     def next_token_rows(self, prefixes):
-        return [GOOD_ROW] + [self.row] * (len(prefixes) - 1 + self.extra)
+        return [self.target] + [self.counter] * (len(prefixes) - 1 + self.extra)
 
 
 def test_broken_backend_is_reported():
-    cases = [(name, RowLM(row)) for name, row in BROKEN_ROWS.items()]
+    # each fault once in the target's row and once in the counters' rows
+    cases = [(f"{name} for the counters", RowLM(row)) for name, row in BROKEN_ROWS.items()]
+    cases += [(f"{name} for the target", RowLM(GOOD_ROW, target=row)) for name, row in BROKEN_ROWS.items()]
     cases += [("one row too many", RowLM(GOOD_ROW, extra=1)), ("one row too few", RowLM(GOOD_ROW, extra=-1))]
+    near_one = backend_row([0], [0.5], 0.5 + 5e-10)
     for greedy in (True, False):
         cfg = GenerationConfig(max_output_tokens=2, greedy=greedy)
         # within 1e-9 of mass 1 passes, so only the faults below fail
-        generate(RowLM(backend_row([0], [0.5], 0.5 + 5e-10)), "x", ["y z"], cfg)
+        generate(RowLM(near_one), "x", ["y z"], cfg)
+        generate(RowLM(GOOD_ROW, target=near_one), "x", ["y z"], cfg)
         for name, lm in cases:
             with pytest.raises(BackendError):
                 generate(lm, "x", ["y z"], cfg)
                 pytest.fail(f"{name} passed the check")
+
+
+def test_unsigned_ids_decode_like_signed_ones():
+    # uint64 target ids beside intp counter ids
+    unsigned = (np.array([0], dtype=np.uint64), np.array([0.9]), 0.1)
+    counter = backend_row([1], [0.6], 0.4)
+    for greedy in (True, False):
+        cfg = GenerationConfig(max_output_tokens=4, greedy=greedy, lam=0.5, seed=3)
+        expected = generate(RowLM(counter), "x", ["y z"], cfg)
+        assert generate(RowLM(counter, target=unsigned), "x", ["y z"], cfg) == expected
 
 
 def dense_reference_row(vocab, table, cues, prefix):
@@ -527,14 +541,14 @@ def test_generate_matches_a_per_prefix_reference_decoder(lm, prompts, lam):
 
 
 def test_full_support_rows_that_clamp_to_zero_fall_back_to_the_target():
-    # both contexts have seen every token, in one ratio: at lam 1 every
-    # score clamps to 0, while the rows' off-support values, which no
-    # token takes, differ
-    table = {("t", ":"): {"a": 1, "b": 1}, ("c", ":"): {"a": 5, "b": 5}}
-    lm = CueBigramLM(["a", "b"], table, cues={"t", "c"})
+    # two rows on one ids array that covers the vocabulary, in one ratio:
+    # at lam 1 every score clamps to 0, while the rows' off-support values,
+    # which no token takes, differ
+    ids = np.array([0, 1], dtype=np.intp)
+    lm = RowLM((ids, np.array([0.3, 0.7]), 0.1), target=(ids, np.array([0.3, 0.7]), 0.7))
     for greedy in (True, False):
         cfg = GenerationConfig(max_output_tokens=4, greedy=greedy, seed=3)
-        assert generate(lm, "t :", ["c :"], cfg) == reference_decode(lm, ["t :", "c :"], cfg)
+        assert generate(lm, "x", ["y z"], cfg) == generate(lm, "x", [], cfg)
 
 
 def test_bigram_lm_trains_from_corpus():
