@@ -23,6 +23,7 @@ from .jsonl import is_number, open_text
 from .text import trigram_jaccard
 
 DEFAULT_KEEP_FRACTION = 0.15
+LOAD_BLOCK = 256  # vector lines parsed per np.loadtxt call while a file loads
 NORMALIZE_BLOCK = 512  # rows normalized per step while a vector file loads
 # The scorers the filter combines, by the names their weights use.
 SCORER_NAMES = ("embedding", "trigram")
@@ -39,9 +40,63 @@ class OneHotEmbedding:
     """
 
 
+def _line_vector(token, rest, lineno, dim, header, path) -> list[float]:
+    """One vector line's components, ``rest`` split on whitespace, by the
+    rules every line must pass. A line that breaks one raises a ParseError
+    naming it, or naming the header when the first vector's dimension is
+    not the header's ``<dim>``."""
+    try:
+        vec = list(map(float, rest.split()))
+    except ValueError:
+        vec = None
+    where, problem = lineno, None
+    if vec is None:
+        problem = "non-numeric vector component"
+    elif not vec or not all(map(math.isfinite, vec)) or not any(vec):
+        problem = f"vector for {token!r} is empty, non-finite or zero"
+    elif dim is not None and len(vec) != dim:
+        problem = f"vector for {token!r} has dimension {len(vec)}, expected {dim}"
+    elif header is not None and len(vec) != header[2]:
+        where = header[0]
+        problem = f"header gives dimension {header[2]}, vectors have {len(vec)}"
+    if problem is not None:
+        raise ParseError(problem, path=str(path), line=where)
+    return vec
+
+
+def _parse_block(tokens, rests, linenos, dim, header, path) -> np.ndarray:
+    """The vectors of a block of lines as one (lines, dim) matrix.
+
+    NumPy's C reader parses the block at once. A block that it rejects, or
+    whose shape or values break a rule, is re-read by :func:`_line_vector`
+    line by line: its first bad line raises that line's ParseError, and a
+    number only ``float`` reads (``1_0``, non-ASCII digits) loads as it
+    would alone. Both parsers round correctly, so the bits are the same.
+    """
+    if "" not in rests:  # loadtxt skips a blank line, and warns if all are
+        try:
+            block = np.loadtxt(rests, dtype=np.float64, ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            want = dim or (header[2] if header else block.shape[1])
+            if (
+                block.shape == (len(rests), want)
+                and np.isfinite(block).all()
+                and block.any(axis=1).all()
+            ):
+                return block
+    vecs = []
+    for token, rest, lineno in zip(tokens, rests, linenos):
+        vecs.append(_line_vector(token, rest, lineno, dim, header, path))
+        dim = len(vecs[-1])
+    return np.array(vecs, dtype=np.float64)
+
+
 class FileEmbedding:
     """Word vectors in word2vec text format: ``token v1 v2 ...`` per line,
-    after an optional ``<count> <dim>`` header line.
+    after an optional ``<count> <dim>`` header line, whose ``<count>``
+    must equal the number of vector lines.
 
     A token listed on more than one line keeps its last vector. The
     vectors are normalized once, at load, into one matrix of unit rows
@@ -57,38 +112,40 @@ class FileEmbedding:
         values = array("d")
         linenos = array("l")  # the file line of each row, for norm errors
         dim: Optional[int] = None
-        header: Optional[tuple[int, int]] = None
+        header: Optional[tuple[int, int, int]] = None  # line, <count>, <dim>
+        tokens: list[str] = []  # the block of vector lines not yet parsed,
+        rests: list[str] = []  # as each line's token and numeric rest
+
+        def read_block():
+            nonlocal dim
+            block = _parse_block(tokens, rests, linenos[-len(rests) :], dim, header, path)
+            dim = block.shape[1]
+            values.frombytes(memoryview(block).cast("B"))
+            tokens.clear()
+            rests.clear()
+
         with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
+                parts = line.split(None, 1)
                 if not parts:
                     continue
-                first = dim is None and header is None
-                if first and len(parts) == 2 and all(p.isdecimal() for p in parts):
-                    header = (lineno, int(parts[1]))  # word2vec's <count> <dim>
+                first = not linenos and header is None
+                if first and len(parts) == 2 and all(p.strip().isdecimal() for p in parts):
+                    header = (lineno, int(parts[0]), int(parts[1]))  # word2vec's <count> <dim>
                     continue
-                try:
-                    vec = list(map(float, parts[1:]))
-                except ValueError:
-                    vec = None
-                where, problem = lineno, None
-                if vec is None:
-                    problem = "non-numeric vector component"
-                elif not vec or not all(map(math.isfinite, vec)) or not any(vec):
-                    problem = f"vector for {parts[0]!r} is empty, non-finite or zero"
-                elif dim is not None and len(vec) != dim:
-                    problem = f"vector for {parts[0]!r} has dimension {len(vec)}, expected {dim}"
-                elif header is not None and len(vec) != header[1]:
-                    where = header[0]
-                    problem = f"header gives dimension {header[1]}, vectors have {len(vec)}"
-                if problem is not None:
-                    raise ParseError(problem, path=str(path), line=where)
-                dim = len(vec)
                 rows[parts[0]] = len(linenos)
                 linenos.append(lineno)
-                values.fromlist(vec)
+                tokens.append(parts[0])
+                rests.append(parts[1] if len(parts) == 2 else "")
+                if len(rests) == LOAD_BLOCK:
+                    read_block()
+        if rests:
+            read_block()
         if not rows:
             raise ConfigurationError(f"embedding file {path} contains no vectors")
+        if header is not None and header[1] != len(linenos):
+            message = f"header gives count {header[1]}, file has {len(linenos)} vector lines"
+            raise ParseError(message, path=str(path), line=header[0])
         values.fromlist([0.0] * dim)
         unit = np.frombuffer(values, dtype=np.float64).reshape(-1, dim)
         # row by row this is the arithmetic of a per-call normalization,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _TOKEN_RE = re.compile(r"\S+")
-_SENTENCE_END_RE = re.compile(r"[.!?]+(?=\s)")
+_SENTENCE_CUT_RE = re.compile(r"[.!?]+(?=\s)|\n")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['\-][A-Za-z0-9]+)*")
 
 
@@ -100,20 +100,11 @@ def segment_sentences(text: str) -> list[tuple[str, int]]:
     consecutive sentences is pure whitespace, so the concatenation of the
     sentences plus the inter-sentence gaps reproduces ``text`` exactly.
     """
-    if not text:
-        return []
-    cuts = set()
-    for m in _SENTENCE_END_RE.finditer(text):
-        cuts.add(m.end())
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            cuts.add(i)
-            cuts.add(i + 1)
     sentences: list[tuple[str, int]] = []
     prev = 0
-    for cut in sorted(cuts) + [len(text)]:
-        if cut <= prev:
-            continue
+    # match ends ascend; a chunk is stripped, so cutting after a newline
+    # gives the sentences a cut on each side of it would
+    for cut in [m.end() for m in _SENTENCE_CUT_RE.finditer(text)] + [len(text)]:
         chunk = text[prev:cut]
         stripped = chunk.strip()
         if stripped:

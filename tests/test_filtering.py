@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from notesum import filtering
 from notesum.errors import ConfigurationError, ParseError
 from notesum.filtering import (
     EmbeddingScorer,
@@ -383,6 +385,7 @@ def test_a_token_listed_twice_keeps_its_last_vector(tmp_path):
         ("cpap 1.0 2.0\nvent 1.0 nan 3.0\n", 2, "vector for 'vent' is empty, non-finite or zero"),
         ("with 1 0 0\npt 1e308 1e308 1e308\n", 2, "vector norm inf is infinite or below 1e-12"),
         ("with 1 0 0\npt 1e-200 0 0\n", 2, "vector norm 0 is infinite or below 1e-12"),
+        ("3 2\ncpap 1 0\nvent 0 1\n", 1, "header gives count 3, file has 2 vector lines"),
     ],
 )
 def test_each_load_error_keeps_its_message_and_line(tmp_path, text, line, message):
@@ -399,3 +402,121 @@ def test_a_file_of_blank_lines_and_a_header_has_no_vectors(tmp_path):
     path.write_text("\n3 2\n\n", encoding="utf-8")
     with pytest.raises(ConfigurationError, match="contains no vectors"):
         FileEmbedding(path)
+
+
+def test_the_header_counts_repeated_tokens_as_lines(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("3 2\ncpap 1 0\nvent 0 1\ncpap 0 2\n", encoding="utf-8")
+    assert FileEmbedding(path).cosines(["cpap"], ["vent"]).tolist() == [[1.0]]
+    path.write_text("2 2\ncpap 1 0\nvent 0 1\ncpap 0 2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r":1: header gives count 2, file has 3 vector lines$"):
+        FileEmbedding(path)
+
+
+def per_line_load(path):
+    """The vector-file rules applied one line at a time, as an oracle for
+    the block reader: (rows, unit matrix bytes) for a good file, "empty"
+    for a file without vectors, else the (message, line) of its first
+    error."""
+    rows, vecs, linenos, header = {}, [], [], None
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if not vecs and header is None and len(parts) == 2 and all(p.isdecimal() for p in parts):
+                header = (lineno, int(parts[0]), int(parts[1]))
+                continue
+            try:
+                vec = [float(p) for p in parts[1:]]
+            except ValueError:
+                return "non-numeric vector component", lineno
+            if not vec or not all(map(math.isfinite, vec)) or not any(vec):
+                return f"vector for {parts[0]!r} is empty, non-finite or zero", lineno
+            if vecs and len(vec) != len(vecs[0]):
+                return f"vector for {parts[0]!r} has dimension {len(vec)}, expected {len(vecs[0])}", lineno
+            if header is not None and len(vec) != header[2]:
+                return f"header gives dimension {header[2]}, vectors have {len(vec)}", header[0]
+            rows[parts[0]] = len(vecs)
+            vecs.append(vec)
+            linenos.append(lineno)
+    if not vecs:
+        return "empty"
+    if header is not None and header[1] != len(vecs):
+        return f"header gives count {header[1]}, file has {len(vecs)} vector lines", header[0]
+    unit = np.array(vecs + [[0.0] * len(vecs[0])])
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(unit[:-1], axis=1, keepdims=True)
+    bad = np.flatnonzero((norms < 1e-12) | (norms == np.inf))
+    if len(bad):
+        return f"vector norm {norms[bad[0], 0]:g} is infinite or below 1e-12", linenos[bad[0]]
+    unit[:-1] /= norms
+    return rows, unit.tobytes()
+
+
+def written(floats):
+    """Floats as vector files write them: repr, %g or signed exponent form."""
+    return st.one_of(floats.map(repr), floats.map(lambda x: f"{x:g}"), floats.map(lambda x: f"{x:+.6e}"))
+
+
+# any float, what only float() reads ("1_0", Arabic-Indic digits), and
+# what no vector may hold
+component = st.one_of(
+    written(st.floats(allow_nan=False, allow_infinity=False)),
+    st.sampled_from(["nan", "-inf", "inf", "1e400", "1e300", "1e-200", "1_0", "\u0661", "-\u0663.\u0665", "-0.0", "x"]),
+)
+space = st.sampled_from([" ", " ", "  ", "\t", "\xa0", "\u2003", "\x0b", " \t"])
+
+
+@st.composite
+def vector_files(draw):
+    """A vector file of 1-8 lines of one dimension, some of them altered."""
+    dim = draw(st.integers(1, 3))
+    unchanged = draw(st.sampled_from([4, 40]))  # the odds of a line being left as drawn
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        token = draw(st.sampled_from(["cpap", "vent", "sat", "2", "\u0661"]))
+        values = draw(st.lists(written(st.floats(-1e3, 1e3)), min_size=dim, max_size=dim))
+        change = draw(st.sampled_from(["none"] * unchanged + ["component", "short", "long", "zero"]))
+        if change == "component":
+            values[draw(st.integers(0, dim - 1))] = draw(component)
+        elif change == "short":
+            values.pop()
+        elif change == "long":
+            values.append(draw(component))
+        elif change == "zero":
+            values = ["0"] * dim
+        lead = draw(st.sampled_from(["", "", " ", "\t"]))
+        lines.append(lead + token + "".join(draw(space) + v for v in values))
+        lines.extend(draw(st.lists(st.sampled_from(["", " ", "\t", "\xa0"]), max_size=1)))
+    if draw(st.booleans()):
+        count = len([line for line in lines if line.strip()]) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        lines.insert(0, f"{count} {dim + draw(st.sampled_from([0, 0, 0, 1]))}")
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@pytest.fixture(scope="module")
+def vector_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("blocks")
+
+
+@given(vector_files(), st.integers(1, 3))
+def test_the_block_reader_keeps_the_per_line_rules(vector_dir, text, block):
+    path = vector_dir / "v.txt"
+    path.write_bytes(text.encode("utf-8"))
+    want = per_line_load(path)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns of a block it finds empty
+        mp.setattr(filtering, "LOAD_BLOCK", block)
+        if want == "empty":
+            with pytest.raises(ConfigurationError, match="contains no vectors"):
+                FileEmbedding(path)
+        elif isinstance(want[1], int):
+            message, line = want
+            with pytest.raises(ParseError) as exc:
+                FileEmbedding(path)
+            assert (str(exc.value), exc.value.line) == (f"{path}:{line}: {message}", line)
+        else:
+            embedder = FileEmbedding(path)
+            assert embedder._rows == want[0]
+            assert embedder._unit.tobytes() == want[1]

@@ -31,10 +31,11 @@ def test_newlines_are_record_boundaries():
     assert got == ["line one", "line two", "line three"]
 
 
-# independent splitter oracle: cut after every terminal-punctuation run
-# followed by a space, on single-line text
+# independent splitter oracle: cut each line of the text after every
+# terminal-punctuation run followed by whitespace
 def _oracle_split(text):
-    return [p for p in re.split(r"(?<=[.!?])\s+(?!$)", text) if p.strip()]
+    pieces = (p.strip() for line in text.split("\n") for p in re.split(r"(?<=[.!?])\s+", line))
+    return [p for p in pieces if p]
 
 
 @given(
@@ -47,6 +48,16 @@ def _oracle_split(text):
 )
 def test_matches_oracle_on_single_line_text(chunks, ending):
     text = ending.join(chunks) + ending.strip()
+    got = [s for s, _ in segment_sentences(text)]
+    assert got == _oracle_split(text)
+
+
+@given(
+    st.lists(st.text(alphabet="abc XY.!?\t", max_size=24), min_size=1, max_size=6),
+    st.sampled_from(["\n", "\r\n", "\n\n", "\r\n \r\n", "\n\t\n"]),
+)
+def test_matches_oracle_on_text_with_line_breaks_and_blank_lines(lines, newline):
+    text = newline.join(lines)
     got = [s for s, _ in segment_sentences(text)]
     assert got == _oracle_split(text)
 
