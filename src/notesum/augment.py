@@ -17,7 +17,8 @@ import functools
 import logging
 import math
 import re
-from collections import Counter, defaultdict
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -169,9 +170,13 @@ class CueBigramLM:
 
     Table memory is O(observed bigrams): a context keeps the ids of the
     tokens it has seen, their probabilities, and the one probability every
-    other token shares. Decoding reads these rows as stored;
-    ``next_token_distribution`` densifies one, byte for byte equal to the
-    dense smoothed row divided by its sum.
+    other token shares, as views into flat arrays sorted by (context, id).
+    Building them is array work. The normalizers come a block of contexts
+    at a time from a buffer of about 1 MiB that holds each context's dense
+    smoothed row, summed row by row. NumPy sums each row of a C-ordered
+    block as it sums one vector, so ``next_token_distribution``, which
+    densifies a row, gives byte for byte the dense smoothed row divided by
+    that row's own sum.
     """
 
     def __init__(
@@ -180,27 +185,18 @@ class CueBigramLM:
         table: Mapping[tuple[Optional[str], str], Mapping[str, float]],
         cues: Iterable[str] = (),
     ):
-        self._vocab = tuple(dict.fromkeys(vocab))
-        if not self._vocab:
+        vocab = tuple(dict.fromkeys(vocab))
+        if not vocab:
             raise ConfigurationError("vocabulary must be non-empty")
-        self._ids = {w: i for i, w in enumerate(self._vocab)}
-        self._cues = frozenset(cues)
-        # (ascending ids, probabilities, off-support probability) per
-        # context; the normalizer is the sum of the dense smoothed row,
-        # built in one reused buffer, so the rows densify to the same bytes.
-        self._table: dict[tuple[Optional[str], str], Row] = {}
-        dense = np.empty(len(self._vocab))
-        for (cue, prev), weights in table.items():
-            try:
-                ids = np.array([self._ids[token] for token in weights], dtype=np.intp)
-            except KeyError as exc:
-                raise ConfigurationError(f"table token {exc.args[0]!r} not in vocabulary") from None
-            dense.fill(BIGRAM_SMOOTHING)
-            dense[ids] += np.array([float(w) for w in weights.values()])
-            z = dense.sum()
-            ids.sort()
-            self._table[(cue, prev)] = (ids, dense[ids] / z, BIGRAM_SMOOTHING / z)
-        self._uniform = (np.empty(0, dtype=np.intp), np.empty(0), 1.0 / len(self._vocab))
+        ids = {w: i for i, w in enumerate(vocab)}
+        try:
+            tokens = np.array([ids[t] for row in table.values() for t in row], dtype=np.intp)
+        except KeyError as exc:
+            raise ConfigurationError(f"table token {exc.args[0]!r} not in vocabulary") from None
+        weights = np.array([float(w) for row in table.values() for w in row.values()])
+        context = np.repeat(np.arange(len(table)), [len(row) for row in table.values()])
+        order = np.lexsort((tokens, context))
+        self._build(vocab, list(table), context[order], tokens[order], weights[order], cues)
 
     @classmethod
     def from_corpus(cls, sentences: Iterable[str]) -> "CueBigramLM":
@@ -210,23 +206,75 @@ class CueBigramLM:
         token) back off to the sentence-start distribution, so decoding a
         prompt continuation restarts a corpus-like sentence.
         """
-        counts: dict[str, Counter] = defaultdict(Counter)
-        starts: Counter = Counter()
-        vocab: dict[str, None] = {}
+        # provisional ids in first-seen order, streamed; no token lists kept
+        first_seen: defaultdict[str, int] = defaultdict()
+        first_seen.default_factory = first_seen.__len__  # an unseen token gets the next id
+        stream, lengths = array("q"), array("q")
         for sentence in sentences:
             tokens = sentence.split()
-            for token in tokens:
-                vocab.setdefault(token, None)
-            if tokens:
-                starts[tokens[0]] += 1
-            for prev, nxt in zip(tokens, tokens[1:]):
-                counts[prev][nxt] += 1
-        if not vocab:
+            lengths.append(len(tokens))
+            stream.extend(map(first_seen.__getitem__, tokens))
+        if not first_seen:
             raise ConfigurationError("cannot train a bigram model on empty text")
-        table = {(None, prev): dict(nxts) for prev, nxts in counts.items()}
+        vocab = sorted(first_seen)
+        rank = np.empty(len(vocab), dtype=np.intp)
+        rank[[first_seen[w] for w in vocab]] = np.arange(len(vocab))
+        tokens = rank[np.array(stream, dtype=np.intp)]
+        lengths = np.array(lengths, dtype=np.intp)
+        # context 0 is the sentence start, context i + 1 follows token i
+        context = np.empty_like(tokens)
+        context[1:] = tokens[:-1] + 1
+        context[(np.cumsum(lengths) - lengths)[lengths > 0]] = 0
+        pairs, counts = np.unique(context * len(vocab) + tokens, return_counts=True)
+        context, tokens = np.divmod(pairs, len(vocab))
+        first = np.diff(context, prepend=-1) != 0
         # "" cannot be a real token; it keys the start-of-sentence row
-        table[(None, "")] = dict(starts)
-        return cls(sorted(vocab), table)
+        keys = [(None, vocab[c - 1] if c else "") for c in context[first].tolist()]
+        lm = cls.__new__(cls)
+        lm._build(tuple(vocab), keys, np.cumsum(first) - 1, tokens, counts, ())
+        return lm
+
+    def _build(
+        self,
+        vocab: tuple[str, ...],
+        keys: Sequence[tuple[Optional[str], str]],
+        context: np.ndarray,
+        tokens: np.ndarray,
+        weights: np.ndarray,
+        cues: Iterable[str],
+    ) -> None:
+        """Set the rows from flat arrays sorted by (context, token): entry j
+        gives token ``tokens[j]`` the weight ``weights[j]`` after context
+        ``keys[context[j]]``; every other token gets the smoothing value."""
+        valid = np.isfinite(weights) & (weights >= 0)
+        if not valid.all():
+            j = int(valid.argmin())
+            raise ConfigurationError(
+                f"table weight {float(weights[j])} for token {vocab[tokens[j]]!r} "
+                f"after context {keys[context[j]]!r} must be finite and >= 0"
+            )
+        self._vocab, self._cues = vocab, frozenset(cues)
+        size, count = len(vocab), len(keys)
+        bounds = np.searchsorted(context, np.arange(count + 1))
+        smoothed = BIGRAM_SMOOTHING + weights
+        z = np.empty(count)
+        step = max(1, 2**17 // size)  # rows of a block of about 1 MiB
+        block = np.full((min(step, count), size), BIGRAM_SMOOTHING)
+        for r0 in range(0, count, step):
+            r1 = min(r0 + step, count)
+            a, b = bounds[r0], bounds[r1]
+            cells = (context[a:b] - r0, tokens[a:b])
+            block[cells] = smoothed[a:b]
+            z[r0:r1] = block[: r1 - r0].sum(axis=1)
+            block[cells] = BIGRAM_SMOOTHING
+        probs = smoothed / z[context]
+        rest = BIGRAM_SMOOTHING / z
+        bounds = bounds.tolist()
+        self._table: dict[tuple[Optional[str], str], Row] = {
+            key: (tokens[a:b], probs[a:b], rest[i])
+            for i, (key, a, b) in enumerate(zip(keys, bounds, bounds[1:]))
+        }
+        self._uniform = (np.empty(0, dtype=np.intp), np.empty(0), 1.0 / size)
 
     def vocabulary(self) -> Sequence[str]:
         return self._vocab

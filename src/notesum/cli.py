@@ -237,6 +237,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
     if not notes:
         raise DataError(f"no notes in {args.train}")
     texts = [n.assessment or "" for n in notes] + [n.summary or "" for n in notes]
+    if not any(t.strip() for t in texts):
+        raise DataError(f"--train {args.train}: no note has assessment or summary text")
     lm = aug.CueBigramLM.from_corpus(t for t in texts if t)
     pairs = aug.augment_notes(notes, lm, aug.TemplateSet.defaults(), cfg.generation)
     count = aug.write_pairs(pairs, args.out)

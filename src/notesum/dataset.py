@@ -21,6 +21,7 @@ from .augment import GeneratedPair
 from .corpus import ProgressNote
 from .errors import DataError
 from .jsonl import read_jsonl, write_jsonl
+from .text import segment_sentences
 
 log = logging.getLogger(__name__)
 
@@ -94,12 +95,14 @@ def assemble_training_set(
     """Originals plus the best augmented instances, capped at target_size.
 
     Every original note becomes one instance. Each augmented pair rewrites
-    its source sentence inside the source note's assessment and inherits
-    the note's other sections and problem-list target. Originals are never
-    dropped: if they already exceed ``target_size`` that is a data error,
-    and remaining capacity goes to augmented pairs in descending combined
-    score (stable by input order). Duplicate (doc_id, input) instances are
-    skipped.
+    the first sentence of its source note's assessment (as
+    ``segment_sentences`` splits it) that equals the pair's source, and
+    inherits the note's other sections and problem-list target; a pair
+    whose source is no sentence of the assessment is skipped. Originals
+    are never dropped: if they already exceed ``target_size`` that is a
+    data error, and remaining capacity goes to augmented pairs in
+    descending combined score (stable by input order). Duplicate
+    (doc_id, input) instances are skipped.
     """
     notes_by_id: dict[str, ProgressNote] = {}
     instances: list[TaskInstance] = []
@@ -127,6 +130,8 @@ def assemble_training_set(
         enumerate(augmented), key=lambda iv: (-_pair_rank_score(iv[1]), iv[0])
     )
     budget = target_size - len(instances)
+    # each note's first start of each assessment sentence, segmented once
+    sentence_starts: dict[str, dict[str, int]] = {}
     for _, pair in ordered:
         if budget == 0:
             break
@@ -135,15 +140,23 @@ def assemble_training_set(
             log.warning("augmented pair references unknown doc_id %r; skipped", pair.doc_id)
             continue
         assessment = _require(note, "assessment")
-        if pair.source not in assessment:
+        if note.doc_id not in sentence_starts:
+            starts: dict[str, int] = {}
+            for sentence, start in segment_sentences(assessment):
+                starts.setdefault(sentence, start)
+            sentence_starts[note.doc_id] = starts
+        start = sentence_starts[note.doc_id].get(pair.source)
+        if start is None:
             log.warning(
                 "augmented pair for %r has a source sentence not found in the "
                 "note's assessment; skipped",
                 pair.doc_id,
             )
             continue
-        new_assessment = assessment.replace(pair.source, pair.generated, 1)
-        patched = dataclasses.replace(note, assessment=new_assessment)
+        end = start + len(pair.source)
+        patched = dataclasses.replace(
+            note, assessment=assessment[:start] + pair.generated + assessment[end:]
+        )
         instance = TaskInstance(
             doc_id=note.doc_id,
             input_text=compose_input(patched, mode),

@@ -1,10 +1,11 @@
 import random
 import tracemalloc
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from notesum import augment
@@ -456,6 +457,86 @@ def test_last_cue_wins_and_contexts_fall_back_in_order():
 def test_table_token_outside_the_vocabulary_is_rejected():
     with pytest.raises(ConfigurationError, match="'b' not in vocabulary"):
         CueBigramLM(["a"], {(None, "a"): {"a": 1.0, "b": 1.0}})
+
+
+@pytest.mark.parametrize("weight", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+def test_invalid_table_weight_is_rejected_naming_context_and_token(weight):
+    table = {(None, ""): {"a": 1.0}, ("c", "a"): {"a": 2.0, "b": weight}}
+    with pytest.raises(ConfigurationError, match=r"for token 'b' after context \('c', 'a'\)"):
+        CueBigramLM(["a", "b"], table, cues={"c"})
+
+
+def per_context_rows(vocab, table):
+    """The table built one context at a time: each context's dense
+    smoothed row filled and summed on its own."""
+    vocab = tuple(dict.fromkeys(vocab))
+    ids = {w: i for i, w in enumerate(vocab)}
+    rows = {}
+    dense = np.empty(len(vocab))
+    for key, weights in table.items():
+        row_ids = np.array([ids[token] for token in weights], dtype=np.intp)
+        dense.fill(BIGRAM_SMOOTHING)
+        dense[row_ids] += np.array([float(w) for w in weights.values()])
+        z = dense.sum()
+        row_ids.sort()
+        rows[key] = (row_ids, dense[row_ids] / z, BIGRAM_SMOOTHING / z)
+    return rows
+
+
+def counted_table(sentences):
+    """from_corpus's vocabulary and table, counted with Counters."""
+    counts, starts, vocab = defaultdict(Counter), Counter(), set()
+    for sentence in sentences:
+        tokens = sentence.split()
+        vocab.update(tokens)
+        if tokens:
+            starts[tokens[0]] += 1
+        for prev, nxt in zip(tokens, tokens[1:]):
+            counts[prev][nxt] += 1
+    table = {(None, prev): dict(nxts) for prev, nxts in counts.items()}
+    table[(None, "")] = dict(starts)
+    return sorted(vocab), table
+
+
+def assert_rows_equal(lm, reference):
+    """Each context's stored row has the bytes of the reference row. The
+    prefix [cue, prev], [prev] or [] resolves to (cue, prev), (None, prev)
+    or (None, "") when no vocabulary token is a cue."""
+    prefixes = [[token for token in key if token] for key in reference]
+    for prefix, got, want in zip(prefixes, lm.next_token_rows(prefixes), reference.values()):
+        assert got[0].dtype == np.intp, prefix
+        for got_part, want_part in zip(got, want):
+            assert np.asarray(got_part).tobytes() == np.asarray(want_part).tobytes(), prefix
+
+
+# Vocabularies above 128 tokens make NumPy's pairwise sum recurse, and more
+# contexts than the 2**17 // V rows of one normalizing block leave the last
+# block partial: row sums keep the bits of the one-vector sum through both.
+@settings(max_examples=20, deadline=None)
+@given(size=st.integers(450, 900), per_row=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_table_build_equals_the_per_context_loop(size, per_row, seed):
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in rng.permutation(size)]
+    # half the draws uniform, half Zipfian, so that some bigrams recur
+    zipf = 1.0 / np.arange(1, size + 1)
+    p = 0.5 / size + 0.5 * zipf / zipf.sum()
+    sentences = [" ".join(rng.choice(vocab, rng.integers(0, 21), p=p)) for _ in range(300)]
+    corpus_vocab, table = counted_table(sentences)
+    assert len(table) > 2**17 // len(corpus_vocab)
+    lm = CueBigramLM.from_corpus(sentences)
+    assert list(lm.vocabulary()) == corpus_vocab
+    assert_rows_equal(lm, per_context_rows(corpus_vocab, table))
+
+    keys = [(None, "")] + [(cue, w) for cue in (None, "c0", "c1") for w in vocab if rng.random() < 0.5]
+    table = {}
+    for k in rng.permutation(len(keys)).tolist():
+        tokens = rng.choice(vocab, rng.integers(0, per_row + 1), replace=False).tolist()
+        counts = rng.integers(0, 50, len(tokens)).tolist()
+        scaled = (rng.random(len(tokens)) * 10.0 ** rng.integers(-3, 4, len(tokens))).tolist()
+        table[keys[k]] = dict(zip(tokens, counts if rng.random() < 0.5 else scaled))
+    assert len(table) > 2**17 // size
+    lm = CueBigramLM(vocab + vocab[:3], table, cues={"c0", "c1"})
+    assert_rows_equal(lm, per_context_rows(vocab, table))
 
 
 def test_bigram_table_memory_grows_with_observed_bigrams():

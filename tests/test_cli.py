@@ -91,6 +91,16 @@ def test_infinite_lambda_exits_config_naming_lam(tmp_path, caplog):
     assert main(args + ["--lambda", "1e308"]) == EXIT_OK
 
 
+def test_train_file_without_text_exits_data_naming_train(tmp_path, caplog):
+    # notes with no assessment or summary, or only whitespace there, give
+    # the bigram model no text to train on
+    train = tmp_path / "train.jsonl"
+    records = [{"doc_id": "a", "text": "pt on cpap ."}, {**SECTION_NOTE, "assessment": " \n", "summary": ""}]
+    train.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert main(["augment", "--train", str(train), "--out", str(tmp_path / "o")]) == EXIT_DATA
+    assert f"--train {train}: no note has assessment or summary text" in caplog.text
+
+
 def test_unknown_config_key_is_an_error(tmp_path, caplog):
     config = tmp_path / "cfg.json"
     # p_i2b2 is 1 - p_umls and the i2b2 format is read off the file; the

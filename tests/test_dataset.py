@@ -3,6 +3,7 @@ import json
 import pytest
 
 from notesum.augment import GeneratedPair, LabelId
+from notesum import dataset
 from notesum.corpus import ProgressNote
 from notesum.dataset import (
     CompositionMode,
@@ -14,6 +15,7 @@ from notesum.dataset import (
     write_instances,
 )
 from notesum.errors import DataError, ParseError
+from notesum.text import segment_sentences
 
 
 def note(doc_id="d1", assessment="a text", subjective="s text", objective="o text",
@@ -113,6 +115,45 @@ def test_augmented_rewrites_the_source_sentence_in_place():
     instances = assemble_training_set(notes, pairs, target_size=10, mode=CompositionMode.A)
     assert instances[1].input_text == "patient continues cpap . stable otherwise ."
     assert instances[1].target_text == notes[0].summary
+
+
+def test_a_paraphrase_replaces_the_first_sentence_equal_to_its_source():
+    # the source is also a substring of the first sentence, which it does
+    # not equal; of two equal sentences the first is rewritten
+    for assessment, expected in (
+        ("Acute pt stable. pt stable.", "Acute pt stable. GEN."),
+        ("pt stable. Acute.\npt stable.", "GEN. Acute.\npt stable."),
+    ):
+        notes = [note(doc_id="d0", assessment=assessment)]
+        pairs = [pair("d0", "pt stable.", "GEN.", 0.9)]
+        instances = assemble_training_set(notes, pairs, target_size=10, mode=CompositionMode.A)
+        assert [i.input_text for i in instances] == [assessment, expected]
+
+
+def test_a_source_that_is_no_sentence_of_the_assessment_is_skipped(caplog):
+    notes = [note(doc_id="d0", assessment="Acute pt stable. pt improving.")]
+    for source in ("pt stable.", "stable. pt", "Acute pt stable. pt improving."):
+        caplog.clear()
+        instances = assemble_training_set(
+            notes, [pair("d0", source, "GEN.", 0.9)], target_size=10, mode=CompositionMode.A
+        )
+        assert len(instances) == 1
+        assert "not found in the note's assessment" in caplog.text
+
+
+def test_each_note_is_segmented_once_per_assembly(monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return segment_sentences(text)
+
+    monkeypatch.setattr(dataset, "segment_sentences", counting)
+    notes = [note(doc_id="d0", assessment="a one. a two."), note(doc_id="d1", assessment="b.")]
+    pairs = [pair("d0", "a one.", "x.", 0.9), pair("d0", "a two.", "y.", 0.8), pair("d1", "b.", "z.", 0.7)]
+    instances = assemble_training_set(notes, pairs, target_size=10, mode=CompositionMode.A)
+    assert len(instances) == 5
+    assert sorted(calls) == ["a one. a two.", "b."]
 
 
 def test_duplicate_instances_are_not_emitted():
