@@ -6,8 +6,10 @@ decoding step the counter distributions are subtracted from the target
 distribution so the continuation fits only the intended instruction. The
 backbone is :class:`CueBigramLM`, a small cue-conditioned bigram model;
 decoding needs only its ``vocabulary`` and ``next_token_rows``, the sparse
-``(ids, probs, rest)`` row of each prefix. Rows that share one ids array
-are debiased on those ids; rows with different ids are densified first.
+``(ids, probs, rest)`` row of each prefix. Every row is checked once, when
+the table is built, so decoding takes the rows as they come. Rows that
+share one ids array are debiased on those ids; rows with different ids
+are densified first.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BackendError, ConfigurationError, DataError
+from .errors import ConfigurationError, DataError
 from .jsonl import is_number, read_jsonl, write_jsonl
 from .seeding import substream
 from .text import _WORD_RE, segment_sentences, word_tokens
@@ -155,8 +157,9 @@ class GeneratedPair:
         terms, scores = pair.required_terms, pair.scores
         if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
             raise DataError("pair field required_terms is not a list of text")
-        if not (isinstance(scores, dict) and all(map(is_number, scores.values()))):
-            raise DataError("pair field scores is not a map of numbers")
+        # JSON's NaN and Infinity would break the ranking by score
+        if not (isinstance(scores, dict) and all(is_number(s) and math.isfinite(s) for s in scores.values())):
+            raise DataError("pair field scores is not a map of finite numbers")
         return pair
 
 
@@ -171,6 +174,10 @@ class CueBigramLM:
     Table memory is O(observed bigrams): a context keeps the ids of the
     tokens it has seen, their probabilities, and the one probability every
     other token shares, as views into flat arrays sorted by (context, id).
+    Every row is a distribution by construction: its ``intp`` ids ascend
+    inside the vocabulary, its probabilities and ``rest`` are finite and
+    >= 0, and its mass is 1 up to rounding. A table weight or a row sum
+    that would break this is a ConfigurationError at build.
     Building them is array work. The normalizers come a block of contexts
     at a time from a buffer of about 1 MiB that holds each context's dense
     smoothed row, summed row by row. NumPy sums each row of a C-ordered
@@ -245,7 +252,9 @@ class CueBigramLM:
     ) -> None:
         """Set the rows from flat arrays sorted by (context, token): entry j
         gives token ``tokens[j]`` the weight ``weights[j]`` after context
-        ``keys[context[j]]``; every other token gets the smoothing value."""
+        ``keys[context[j]]``; every other token gets the smoothing value.
+        A weight that is not finite and >= 0, or a context whose smoothed
+        weights sum past the largest float, is a ConfigurationError."""
         valid = np.isfinite(weights) & (weights >= 0)
         if not valid.all():
             j = int(valid.argmin())
@@ -265,8 +274,15 @@ class CueBigramLM:
             a, b = bounds[r0], bounds[r1]
             cells = (context[a:b] - r0, tokens[a:b])
             block[cells] = smoothed[a:b]
-            z[r0:r1] = block[: r1 - r0].sum(axis=1)
+            with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+                z[r0:r1] = block[: r1 - r0].sum(axis=1)
             block[cells] = BIGRAM_SMOOTHING
+        finite = np.isfinite(z)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ConfigurationError(
+                f"table weights after context {keys[i]!r} sum past the largest float"
+            )
         probs = smoothed / z[context]
         rest = BIGRAM_SMOOTHING / z
         bounds = bounds.tolist()
@@ -383,38 +399,6 @@ def self_debias_step(
     return scores / total
 
 
-def _check_rows(rows: Sequence, count: int, vocab_size: int) -> list[Row]:
-    """The backend's rows as arrays, each distinct row checked once: ids
-    1-D integers, strictly increasing and inside the vocabulary, one
-    probability per id, no value negative or NaN, and a mass within 1e-9
-    of 1 (which an infinite value cannot have)."""
-    if len(rows) != count:
-        raise BackendError(f"language model returned {len(rows)} rows, expected {count}")
-    checked: dict[int, Row] = {}
-    for row in rows:
-        if id(row) in checked:
-            continue
-        try:
-            ids, probs, rest = row
-            ids, probs, rest = np.asarray(ids), np.asarray(probs, dtype=float), float(rest)
-        except (TypeError, ValueError):
-            raise BackendError("language model returned a row that is not (ids, probs, rest)") from None
-        if ids.ndim != 1 or ids.dtype.kind not in "iu" or probs.shape != ids.shape:
-            raise BackendError(
-                f"language model returned ids of shape {ids.shape} and dtype {ids.dtype} "
-                f"with probabilities of shape {probs.shape}"
-            )
-        if len(ids) and not (ids[0] >= 0 and ids[-1] < vocab_size and (ids[1:] > ids[:-1]).all()):
-            raise BackendError("language model returned ids that are not increasing vocabulary positions")
-        mass = probs.sum() + rest * (vocab_size - len(ids))
-        # written so that NaN fails: every comparison with NaN is False (an
-        # empty row's minimum is the initial inf)
-        if not (probs.min(initial=np.inf) >= 0 and rest >= 0 and abs(mass - 1.0) <= 1e-9):
-            raise BackendError("language model returned an invalid distribution")
-        checked[id(row)] = (ids, probs, rest)
-    return [checked[id(row)] for row in rows]
-
-
 def _debiased(rows: Sequence[Row], lam: float, vocab_size: int) -> np.ndarray:
     """``self_debias_step`` of the first row against the others. Rows that
     share one ids array are scored on those ids and once for the
@@ -453,9 +437,11 @@ def generate(
 
     Every emitted token extends the target prefix and every counter prefix
     alike; each step asks the model for all prefixes' sparse rows in one
-    ``next_token_rows`` call and debiases them. Decoding stops at
-    sentence-final punctuation or at the output cap. Greedy by default;
-    sampling (optionally top-k) uses the supplied or seeded generator.
+    ``next_token_rows`` call and debiases them, as they come:
+    :class:`CueBigramLM` checked every row when it built its table.
+    Decoding stops at sentence-final punctuation or at the output cap.
+    Greedy by default; sampling (optionally top-k) uses the supplied or
+    seeded generator.
     """
     vocab = lm.vocabulary()
     prefixes = [prompt.split() for prompt in (target_prompt, *counter_prompts)]
@@ -463,9 +449,7 @@ def generate(
         rng = np.random.default_rng(cfg.seed)
     emitted: list[str] = []
     for _ in range(cfg.max_output_tokens):
-        rows = _check_rows(
-            lm.next_token_rows([prefix + emitted for prefix in prefixes]), len(prefixes), len(vocab)
-        )
+        rows = lm.next_token_rows([prefix + emitted for prefix in prefixes])
         adjusted = _debiased(rows, cfg.lam, len(vocab))
         if cfg.greedy:
             choice = int(adjusted.argmax())

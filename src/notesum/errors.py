@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all notesum modules.
 
 The CLI maps these onto exit codes: configuration problems exit 1, data
-problems exit 2, everything else (internal/backend) exits 3.
+problems exit 2, everything else (an internal error) exits 3.
 """
 
 
@@ -40,7 +40,3 @@ class ParseError(DataError):
 class InternalError(NotesumError):
     """A violated internal contract, e.g. overlapping spans reaching the masker."""
 
-
-class BackendError(NotesumError):
-    """A language model broke its next-token contract (wrong length, invalid
-    distribution)."""

@@ -31,15 +31,6 @@ SCORER_NAMES = ("embedding", "trigram")
 Scorer = Callable[[str, str], float]
 
 
-class OneHotEmbedding:
-    """Exact-match embeddings: every distinct token its own basis vector.
-
-    Cosine is 1 for equal tokens and 0 otherwise, so greedy matching is
-    token overlap, which :func:`greedy_match_f1` counts without building
-    vectors: there is no vocabulary to outgrow and no state.
-    """
-
-
 def _line_vector(token, rest, lineno, dim, header, path) -> list[float]:
     """One vector line's components, ``rest`` split on whitespace, by the
     rules every line must pass. A line that breaks one raises a ParseError
@@ -174,14 +165,23 @@ class FileEmbedding:
         ref = [rows.get(t, missing) for t in reference_tokens]
         sims = self._unit[cand] @ self._unit[ref].T
         # a token with no vector has the zero row: 0 with everything, so
-        # only its equal tokens need setting
-        for i, (token, row) in enumerate(zip(candidate_tokens, cand)):
-            if row == missing:
-                sims[i] = [token == other for other in reference_tokens]
+        # only its equal tokens need setting, compared as small int codes
+        lacking = [i for i, row in enumerate(cand) if row == missing]
+        if lacking:
+            codes: dict[str, int] = {}
+            lack = np.array([codes.setdefault(candidate_tokens[i], len(codes)) for i in lacking])
+            other = np.array([codes.get(t, -1) for t in reference_tokens])
+            sims[lacking] = lack[:, None] == other
         return sims
 
 
-Embedder = Union[OneHotEmbedding, FileEmbedding]
+class OneHotEmbedding(FileEmbedding):
+    """Exact-match embeddings: the vector table with no vectors, so every
+    token follows the rule of a token a file lacks. Cosine is 1 for equal
+    tokens and 0 otherwise, and greedy matching counts token overlap."""
+
+    def __init__(self):
+        self._rows, self._unit, self._missing = {}, np.zeros((1, 1)), 0
 
 
 def embedder_file(spec: str) -> Optional[str]:
@@ -194,7 +194,7 @@ def embedder_file(spec: str) -> Optional[str]:
     raise ConfigurationError(f"embedder: must be onehot or file:<path>, got {spec!r}")
 
 
-def make_embedder(spec: str) -> Embedder:
+def make_embedder(spec: str) -> FileEmbedding:
     """Build the embedder an embedder spec names (see :func:`embedder_file`)."""
     path = embedder_file(spec)
     return OneHotEmbedding() if path is None else FileEmbedding(path)
@@ -203,28 +203,23 @@ def make_embedder(spec: str) -> Embedder:
 def greedy_match_f1(
     candidate_tokens: Sequence[str],
     reference_tokens: Sequence[str],
-    embedder: Embedder,
+    embedder: FileEmbedding,
 ) -> tuple[float, float, float]:
     """Greedy maximum-cosine matching of candidate against reference tokens.
 
     Precision averages each candidate token's best cosine similarity to
     the reference; recall is the mirror image; F1 is their harmonic mean.
     With one-hot embeddings a token's best cosine is 1 if it occurs on
-    the other side and 0 otherwise, which is counted without vectors.
+    the other side and 0 otherwise, so the sums are exact overlap counts.
     """
     if not candidate_tokens or not reference_tokens:
         raise ValueError("greedy_match_f1 requires non-empty token lists")
     n_cand, n_ref = len(candidate_tokens), len(reference_tokens)
-    if isinstance(embedder, OneHotEmbedding):
-        cand_set, ref_set = set(candidate_tokens), set(reference_tokens)
-        precision = sum(t in ref_set for t in candidate_tokens) / n_cand
-        recall = sum(t in cand_set for t in reference_tokens) / n_ref
-    else:
-        sims = embedder.cosines(candidate_tokens, reference_tokens)
-        # dot with ones rather than .mean(): the summation order fixes the
-        # last bits of the scores written to the pair files
-        precision = float(sims.max(axis=1) @ np.ones(n_cand) / n_cand)
-        recall = float(sims.max(axis=0) @ np.ones(n_ref) / n_ref)
+    sims = embedder.cosines(candidate_tokens, reference_tokens)
+    # dot with ones rather than .mean(): the summation order fixes the
+    # last bits of the scores written to the pair files
+    precision = float(sims.max(axis=1) @ np.ones(n_cand) / n_cand)
+    recall = float(sims.max(axis=0) @ np.ones(n_ref) / n_ref)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
 
@@ -232,7 +227,7 @@ def greedy_match_f1(
 class EmbeddingScorer:
     """Scorer adapter: greedy-match F1 of candidate vs reference texts."""
 
-    def __init__(self, embedder: Embedder):
+    def __init__(self, embedder: FileEmbedding):
         self._embedder = embedder
 
     def __call__(self, candidate: str, reference: str) -> float:

@@ -1,5 +1,8 @@
+import json
+import math
 import random
 import tracemalloc
+import warnings
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -31,7 +34,7 @@ from notesum.augment import (
     write_pairs,
 )
 from notesum.corpus import ProgressNote
-from notesum.errors import BackendError, ConfigurationError, DataError
+from notesum.errors import ConfigurationError, DataError, ParseError
 
 
 def test_exactly_three_labels_exist():
@@ -312,55 +315,19 @@ def backend_row(ids, probs, rest):
 
 # rows over the vocabulary [a, b]
 GOOD_ROW = backend_row([0], [0.9], 0.1)
-BROKEN_ROWS = {
-    "mass above 1": backend_row([0, 1], [0.9, 0.9], 0.0),
-    "nan probability": backend_row([0], [np.nan], 0.1),
-    "infinite probability": backend_row([0], [np.inf], 0.1),
-    "negative probability": backend_row([0, 1], [1.5, -0.5], 0.0),
-    "id out of range": backend_row([0, 2], [0.5, 0.5], 0.0),
-    "negative id": backend_row([-1, 0], [0.5, 0.5], 0.0),
-    "repeated ids": backend_row([0, 0], [0.5, 0.5], 0.0),
-    "unsorted ids": backend_row([1, 0], [0.5, 0.5], 0.0),
-    "float ids": (np.array([0.0]), np.array([0.9]), 0.1),
-    "2-D ids": (np.array([[0]], dtype=np.intp), np.array([[0.9]]), 0.1),
-    "ids/probs length mismatch": backend_row([0, 1], [1.0], 0.0),
-    "nan rest": backend_row([0], [0.5], np.nan),
-    "nan rest beside a full support": backend_row([0, 1], [0.5, 0.5], np.nan),
-    "negative rest": backend_row([0], [1.5], -0.5),
-    "mass off by more than 1e-9": backend_row([0], [0.5], 0.5 + 2e-9),
-    "not a triple": (np.array([0], dtype=np.intp), np.array([0.9])),
-}
 
 
 class RowLM:
-    """Gives ``target`` for the first prefix and ``counter`` for every
-    other; ``extra`` rows are appended to each answer."""
+    """Gives ``target`` for the first prefix and ``counter`` for every other."""
 
-    def __init__(self, counter, target=GOOD_ROW, extra=0):
-        self.counter, self.target, self.extra = counter, target, extra
+    def __init__(self, counter, target=GOOD_ROW):
+        self.counter, self.target = counter, target
 
     def vocabulary(self):
         return ["a", "b"]
 
     def next_token_rows(self, prefixes):
-        return [self.target] + [self.counter] * (len(prefixes) - 1 + self.extra)
-
-
-def test_broken_backend_is_reported():
-    # each fault once in the target's row and once in the counters' rows
-    cases = [(f"{name} for the counters", RowLM(row)) for name, row in BROKEN_ROWS.items()]
-    cases += [(f"{name} for the target", RowLM(GOOD_ROW, target=row)) for name, row in BROKEN_ROWS.items()]
-    cases += [("one row too many", RowLM(GOOD_ROW, extra=1)), ("one row too few", RowLM(GOOD_ROW, extra=-1))]
-    near_one = backend_row([0], [0.5], 0.5 + 5e-10)
-    for greedy in (True, False):
-        cfg = GenerationConfig(max_output_tokens=2, greedy=greedy)
-        # within 1e-9 of mass 1 passes, so only the faults below fail
-        generate(RowLM(near_one), "x", ["y z"], cfg)
-        generate(RowLM(GOOD_ROW, target=near_one), "x", ["y z"], cfg)
-        for name, lm in cases:
-            with pytest.raises(BackendError):
-                generate(lm, "x", ["y z"], cfg)
-                pytest.fail(f"{name} passed the check")
+        return [self.target] + [self.counter] * (len(prefixes) - 1)
 
 
 def test_unsigned_ids_decode_like_signed_ones():
@@ -388,12 +355,12 @@ def dense_reference_row(vocab, table, cues, prefix):
 
 
 @st.composite
-def bigram_tables(draw):
+def bigram_tables(draw, max_weight=100.0):
     vocab = [f"w{i}" for i in range(draw(st.integers(1, 12)))]
     cues = draw(st.sets(st.sampled_from(["c0", "c1", "w0"])))
     weights = st.dictionaries(
         st.sampled_from(vocab),
-        st.one_of(st.integers(0, 50), st.floats(0.0, 100.0, allow_nan=False)),
+        st.one_of(st.integers(0, 50), st.floats(0.0, max_weight, allow_nan=False)),
     )
     keys = st.tuples(st.sampled_from([None, *sorted(cues)]), st.sampled_from(["", ":", *vocab]))
     table = draw(st.dictionaries(keys, weights, max_size=12))
@@ -464,6 +431,46 @@ def test_invalid_table_weight_is_rejected_naming_context_and_token(weight):
     table = {(None, ""): {"a": 1.0}, ("c", "a"): {"a": 2.0, "b": weight}}
     with pytest.raises(ConfigurationError, match=r"for token 'b' after context \('c', 'a'\)"):
         CueBigramLM(["a", "b"], table, cues={"c"})
+
+
+def smoothed_row_sums(vocab, table):
+    """Each context's dense smoothed row sum, inf where it overflows."""
+    ids = {w: i for i, w in enumerate(vocab)}
+    sums = []
+    for weights in table.values():
+        row = np.full(len(vocab), BIGRAM_SMOOTHING)
+        row[[ids[t] for t in weights]] += [float(w) for w in weights.values()]
+        with np.errstate(over="ignore"):
+            sums.append(row.sum())
+    return np.array(sums)
+
+
+# weights up to 1e308, so that two of them overflow a row sum
+@given(bigram_tables(max_weight=1e308))
+def test_every_row_is_a_distribution_or_the_build_is_rejected(case):
+    vocab, table, cues, prefixes = case
+    if not np.isfinite(smoothed_row_sums(vocab, table)).all():
+        with pytest.raises(ConfigurationError, match="sum past the largest float"):
+            CueBigramLM(vocab, table, cues=cues)
+        return
+    lm = CueBigramLM(vocab, table, cues=cues)
+    size = len(vocab)
+    # the drawn prefixes, and one reaching each context of the table
+    prefixes += [[token for token in key if token] for key in table]
+    for ids, probs, rest in lm.next_token_rows(prefixes):
+        assert ids.ndim == 1 and ids.dtype == np.intp
+        assert (ids[1:] > ids[:-1]).all() and (ids >= 0).all() and (ids < size).all()
+        assert probs.shape == ids.shape
+        assert np.isfinite(probs).all() and (probs >= 0).all()
+        assert math.isfinite(rest) and rest >= 0
+        assert abs(probs.sum() + rest * (size - len(ids)) - 1.0) <= 1e-9
+
+
+def test_a_row_sum_past_the_largest_float_is_rejected_at_build():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no overflow warning on the way
+        with pytest.raises(ConfigurationError, match=r"after context \(None, ''\) sum past"):
+            CueBigramLM(["a", "b"], {(None, ""): {"a": 1e308, "b": 1e308}})
 
 
 def per_context_rows(vocab, table):
@@ -729,6 +736,20 @@ def test_pairs_file_round_trip(tmp_path):
         ("d2", "src two", "gen two", []),
     ]
     assert loaded[0].label is LabelId.SAME_THING
+
+
+@pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_pair_score_is_rejected_naming_its_line(tmp_path, score):
+    record = {"source": "a", "generated": "b", "label": 1, "scores": {"combined": float(score)}}
+    with pytest.raises(DataError, match="map of finite numbers"):
+        augment.GeneratedPair.from_record(record)
+    # Python's JSON reader reads NaN and Infinity as floats
+    path = tmp_path / "pairs.jsonl"
+    good = aug_pair("d1", "src", "gen", []).to_record()
+    path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    assert score in path.read_text(encoding="utf-8")
+    with pytest.raises(ParseError, match=f"{path}:2: .*finite numbers"):
+        list(read_pairs(path))
 
 
 def aug_pair(doc_id, source, generated, terms):

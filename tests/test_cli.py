@@ -609,6 +609,22 @@ MALFORMED_RECORD_CASES = {
         '"scores": {"combined": "x"}}',
         ["assemble", "--notes", "{d}/notes.jsonl", "--augmented", "{f}", "--out", "{d}/o"],
     ),
+    # Python's JSON reader accepts NaN and Infinity; a score must be finite
+    "assemble-pair-score-nan": (
+        PAIR,
+        json.dumps({**PAIR, "scores": {"combined": float("nan")}}),
+        ["assemble", "--notes", "{d}/notes.jsonl", "--augmented", "{f}", "--out", "{d}/o"],
+    ),
+    "assemble-pair-score-infinity": (
+        PAIR,
+        json.dumps({**PAIR, "scores": {"combined": float("inf")}}),
+        ["assemble", "--notes", "{d}/notes.jsonl", "--augmented", "{f}", "--out", "{d}/o"],
+    ),
+    "filter-pair-score-nan": (
+        PAIR,
+        json.dumps({**PAIR, "scores": {"embedding": float("nan")}}),
+        ["filter", "--in", "{f}", "--out", "{d}/o"],
+    ),
     "filter": (
         PAIR,
         '{"source": "a", "generated": "b", "label": "x"}',
