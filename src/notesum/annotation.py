@@ -15,7 +15,7 @@ import logging
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParseError
 from .jsonl import open_text
-from .text import Token, char_trigrams, normalize, tokenize
+from .text import Token, normalize, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -81,8 +81,9 @@ class TermDictionary:
     occurrence of a trigram, to the entries holding at least k copies of
     that gram; ``(gram, 1)`` keys are stored by the gram alone. A window's
     multiset overlap with an entry is then the number of the window's keys
-    whose posting list holds the entry. Posting lists become int arrays on
-    their first lookup.
+    whose posting holds the entry. Each posting is an ascending int array,
+    a slice of one flat array made at the end of the build; matching only
+    reads the index.
     """
 
     def __init__(self, terms: Sequence[str], name: str):
@@ -93,16 +94,17 @@ class TermDictionary:
         # the gram count never falls as the length grows
         self.entry_texts: tuple[str, ...] = tuple(sorted(entries, key=len))
         self._exact = frozenset(self.entry_texts)
-        firsts: dict[str, list[int]] = defaultdict(list)
-        repeats: dict[tuple[str, int], list[int]] = defaultdict(list)
+        lists: dict[Union[str, tuple[str, int]], list[int]] = defaultdict(list)
         for i, text in enumerate(self.entry_texts):
-            for gram, count in char_trigrams(text).items():
-                firsts[gram].append(i)
-                if count > 1:
-                    for k in range(2, count + 1):
-                        repeats[gram, k].append(i)
-        self._firsts: dict[str, Union[list[int], np.ndarray]] = dict(firsts)
-        self._repeats: dict[tuple[str, int], Union[list[int], np.ndarray]] = dict(repeats)
+            # as annotate keys a window; a 1-2 character entry is its one gram
+            seen: dict[str, int] = {}
+            for p in range(max(len(text) - 2, 1)):
+                gram = text[p : p + 3]
+                k = seen[gram] = seen.get(gram, 0) + 1
+                lists[gram if k == 1 else (gram, k)].append(i)
+        flat = np.fromiter(chain.from_iterable(lists.values()), dtype=np.intp)
+        bounds = [0, *accumulate(map(len, lists.values()))]
+        self._postings = {key: flat[lo:hi] for key, lo, hi in zip(lists, bounds, bounds[1:])}
         self._size_list = list(map(_gram_count, self.entry_texts))
         self._sizes = np.array(self._size_list)
 
@@ -188,13 +190,13 @@ def annotate(
     indexes nearly every gram, so there the skip prunes almost nothing.
 
     The rest waits for the first window that survives: per sentence, the
-    postings become int arrays and the recurring grams are found; per
-    start, a recurring gram is keyed ``(gram, k)`` by its k-th occurrence
-    from the start, and an extension's new keys are then one slice. Each
-    key adds at most 1 to the overlap with any entry, so a window with
-    fewer keys found than ``threshold`` times its gram count is skipped.
-    Otherwise the start's running overlap vector takes the new postings,
-    and ``best_among`` scores the entries that can reach the threshold.
+    recurring grams are found; per start, a recurring gram is keyed
+    ``(gram, k)`` by its k-th occurrence from the start, and an extension's
+    new keys are then one slice. Each key adds at most 1 to the overlap
+    with any entry, so a window with fewer keys found than ``threshold``
+    times its gram count is skipped. Otherwise the start's running overlap
+    vector takes the new postings, and ``best_among`` scores the entries
+    that can reach the threshold.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
@@ -209,9 +211,9 @@ def annotate(
     approximate = threshold < 1.0
     exact_entries = dictionary._exact
     if approximate:
-        firsts, repeats = dictionary._firsts, dictionary._repeats
+        index = dictionary._postings
         grams = [text[p : p + 3] for p in range(len(text) - 2)]
-        postings = [firsts.get(gram) for gram in grams]
+        postings = [index.get(gram) for gram in grams]
         indexed = [0, *accumulate(posting is not None for posting in postings)]
         recurring: Optional[list[int]] = None
     spans: list[EntitySpan] = []
@@ -227,9 +229,6 @@ def annotate(
             score = 1.0 if window in exact_entries else 0.0
             if approximate and size > 0 and score == 0.0:
                 if recurring is None:
-                    for p, posting in enumerate(postings):
-                        if type(posting) is list:
-                            postings[p] = firsts[grams[p]] = np.array(posting, dtype=np.intp)
                     occurrences = Counter(grams)
                     recurring = [p for p, gram in enumerate(grams) if occurrences[gram] > 1]
                 if keys is None:
@@ -239,9 +238,7 @@ def annotate(
                         gram = grams[p]
                         k = seen[gram] = seen.get(gram, 0) + 1
                         if k > 1:
-                            posting = keys[p - a] = repeats.get((gram, k))
-                            if type(posting) is list:
-                                keys[p - a] = repeats[gram, k] = np.array(posting, dtype=np.intp)
+                            keys[p - a] = index.get((gram, k))
                     hits: list[np.ndarray] = []
                     added = grown = 0
                 hits += [posting for posting in keys[grown:size] if posting is not None]

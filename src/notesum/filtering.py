@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -309,7 +310,8 @@ def score_pair(
 
 
 def filter_top_fraction(scored: Sequence[tuple[object, float]], keep_fraction: float):
-    """Keep the ceil(keep_fraction * n) highest-scoring items.
+    """Keep the ceil(keep_fraction * n) highest-scoring items, with the
+    fraction taken as written, not as its binary float: 0.07 of 100 is 7.
 
     Ties break by input position (earlier wins); the survivors come back
     in their original relative order.
@@ -319,6 +321,6 @@ def filter_top_fraction(scored: Sequence[tuple[object, float]], keep_fraction: f
     n = len(scored)
     if n == 0:
         return []
-    keep = math.ceil(keep_fraction * n)
+    keep = math.ceil(Fraction(repr(float(keep_fraction))) * n)
     ranked = sorted(range(n), key=lambda i: (-scored[i][1], i))[:keep]
     return [scored[i][0] for i in sorted(ranked)]

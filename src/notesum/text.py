@@ -34,9 +34,8 @@ def normalize(text: str) -> str:
 
 def char_trigrams(text: str) -> dict[str, int]:
     """Multiset of character trigrams as gram -> count; strings shorter
-    than 3 chars contribute themselves as a single gram. A plain dict loop:
-    the matcher's index build calls this once per entry, and Counter is
-    slower on short text."""
+    than 3 chars contribute themselves as a single gram. A plain dict loop,
+    which is faster than Counter on short text."""
     if len(text) < 3:
         return {text: 1}
     counts: dict[str, int] = {}

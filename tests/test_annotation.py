@@ -2,8 +2,9 @@ import pickle
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from notesum.annotation import (
     I2B2_CHANNEL,
@@ -375,15 +376,32 @@ def test_annotate_is_repeatable_and_survives_pickling_a_used_dictionary():
     rng = random.Random(5)
     entries = [" ".join(rng.choice(VOCAB) for _ in range(rng.randint(1, 3))) for _ in range(40)]
     d = TermDictionary(entries, UMLS_CHANNEL)
+    built = pickle.dumps(d)
     texts = [[rng.choice(VOCAB) for _ in range(12)] for _ in range(10)]
     sentences = [tokenize(" ".join(words)) for words in texts]
     first = [spans_of(t, d, 0.6, 6) for t in sentences]
     assert first == [oracle_annotate(words, set(entries), 0.6, 6) for words in texts]
     assert any(first)
     assert [spans_of(t, d, 0.6, 6) for t in sentences] == first
+    # annotate only reads the index
+    assert pickle.dumps(d) == built
     # worker processes receive dictionaries pickled after the parent used them
     copy = pickle.loads(pickle.dumps(d))
     assert [spans_of(t, copy, 0.6, 6) for t in sentences] == first
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.text(alphabet="ab c", min_size=1, max_size=14), min_size=1, max_size=8))
+def test_index_maps_each_gram_occurrence_to_the_entries_holding_it(terms):
+    assume(any(t.split() for t in terms))
+    d = TermDictionary(terms, UMLS_CHANNEL)
+    want: dict = {}
+    for i, entry in enumerate(d.entry_texts):
+        for gram, count in oracle_trigrams(entry).items():
+            for k in range(1, count + 1):
+                want.setdefault(gram if k == 1 else (gram, k), []).append(i)
+    assert {key: posting.tolist() for key, posting in d._postings.items()} == want
+    assert all(type(p) is np.ndarray and p.dtype == np.intp for p in d._postings.values())
 
 
 @settings(max_examples=100, deadline=None)

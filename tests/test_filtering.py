@@ -229,6 +229,19 @@ def test_kept_scores_dominate_discarded_for_all_sizes():
         assert kept == sorted(kept)
 
 
+@pytest.mark.parametrize("fraction, n, keep", [
+    (0.07, 100, 7),  # 0.07 * 100 is 7.000000000000001 in binary
+    (0.55, 100, 55),
+    (0.1, 30, 3),
+    (0.15, 21, 4),
+    (0.33, 3, 1),
+    (1.0, 7, 7),
+])
+def test_top_fraction_keeps_the_ceiling_of_the_fraction_as_written(fraction, n, keep):
+    scored = [(i, float(i % 5)) for i in range(n)]
+    assert len(filter_top_fraction(scored, fraction)) == keep
+
+
 def test_keep_fraction_must_be_in_range():
     with pytest.raises(ValueError):
         filter_top_fraction([("x", 1.0)], 0.0)

@@ -20,7 +20,8 @@ FIXTURE = Path(__file__).resolve().parent / "golden"
 # augment-half-lambda was computed with the dense decode step, which scored
 # three vocabulary-wide rows; at lambda 0.5 the scores stay positive, so it
 # pins the renormalized distribution that sampling reads, where the two
-# other augment cases (lambda 1) fall back to the target's.
+# other augment cases (lambda 1) fall back to the target's. filter-onehot
+# pins the default embedder's scores, which the word-vector case does not.
 GOLDEN = {
     "pretrain-dict": "4c43dfbd6b0e8c5bdeb47fae93f731609edcc0adc83cefeafe1265604f9025e1",
     "pretrain-dict-stats": "03d24059bef83862a30a47577aa3ebad51c0ca0d043e145a98853ccc2b506fbd",
@@ -30,6 +31,7 @@ GOLDEN = {
     "augment-sampled": "1afc306fe9474069ee37dadc7c2f0509f72381fc5c7c5c0713ee87c4cd2d5ee9",
     "augment-half-lambda": "edcad35a3de0f5ca20d5ea47755740449aa1dd275b46dfd9f6eb0f79b32e3286",
     "filter": "ba9a6c660d97ce5531c7aa477d13d03ff03a35a6cc5ca7fba10851096ae3bc64",
+    "filter-onehot": "62b99e90195a85dd249e7054bea2028f7a0f741d16887a3155f663bc6459350a",
     "assemble": "11e13d302559fcffbf5d040b4de9cb4488335ab739ad9aa585250d2683dd88c6",
     "evaluate": "7a72332d429510321ae783e1d6b5f02a557e522621c630e4133b985f0baf66cc",
 }
@@ -61,6 +63,7 @@ def chain_outputs(out: Path) -> dict[str, bytes]:
                                 "--sampling", "--lambda", "0.5"],
         "filter": ["filter", "--in", out / "augment-sampled", "--keep", "0.5",
                    "--embedder", f"file:{FIXTURE / 'vectors.txt'}"],
+        "filter-onehot": ["filter", "--in", out / "augment-sampled", "--keep", "0.5", "--embedder", "onehot"],
         "assemble": ["assemble", "--notes", FIXTURE / "sections.jsonl", "--augmented", out / "filter",
                      "--mode", "aso", "--target-size", "20"],
         "evaluate": ["evaluate", "--pred", out / "pretrain-dict-1.jsonl",
