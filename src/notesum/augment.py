@@ -7,9 +7,12 @@ distribution so the continuation fits only the intended instruction. The
 backbone is :class:`CueBigramLM`, a small cue-conditioned bigram model;
 decoding needs only its ``vocabulary`` and ``next_token_rows``, the sparse
 ``(ids, probs, rest)`` row of each prefix. Every row is checked once, when
-the table is built, so decoding takes the rows as they come. Rows that
-share one ids array are debiased on those ids; rows with different ids
-are densified first.
+the table is built, so decoding takes the rows as they come. A greedy step
+scores only the rows' ids, or their union, plus the one score every other
+token shares, and picks the token that the dense step's argmax would: no
+step writes a vocabulary-wide vector, so its cost follows the rows, not
+the vocabulary. Sampling densifies the rows, since drawing from the
+distribution reads it whole.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import functools
 import logging
 import math
 import re
+import weakref
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -400,30 +404,87 @@ def self_debias_step(
 
 
 def _debiased(rows: Sequence[Row], lam: float, vocab_size: int) -> np.ndarray:
-    """``self_debias_step`` of the first row against the others. Rows that
-    share one ids array are scored on those ids and once for the
-    probability every other token shares; only the result is
-    vocabulary-wide, so its sum, and with it every probability, has the
-    bytes of the dense computation. Rows with different ids are densified."""
+    """``self_debias_step`` of the first row against the others, on the
+    rows densified."""
+    target, counters = rows[0], list({id(row): row for row in rows[1:]}.values())
+    dense = [_dense(row, vocab_size) for row in (target, *counters)]
+    return self_debias_step(dense[0], dense[1:], lam)
+
+
+def _argmax(ids: np.ndarray, values: np.ndarray, other: float, vocab_size: int) -> tuple[int, float]:
+    """The first index of the largest entry of the vocabulary-wide vector
+    that holds ``values`` at ascending ``ids`` and ``other`` elsewhere, and
+    that entry, as ``np.argmax`` picks it."""
+    choice, best = vocab_size, -math.inf
+    if len(ids):
+        j = int(values.argmax())
+        choice, best = int(ids[j]), float(values[j])
+    if len(ids) < vocab_size and other >= best:
+        # the lowest id off ``ids``: ids[i] >= i, with equality on a prefix
+        absent = int(np.count_nonzero(ids == np.arange(len(ids)))) if len(ids) and not ids[0] else 0
+        if other > best or absent < choice:
+            choice, best = absent, other
+    return choice, best
+
+
+# A score this close below the best may divide by the total to its quotient
+_ROUNDING = 1.0 - 2.0**-50
+
+# Each target row's own argmax, keyed by the row's id and the vocabulary
+# size: weak references to the row's arrays, its shared value, the choice.
+# An entry matches only the row it was made for, so a row that reuses a
+# dead row's id replaces it; the map is emptied when it grows large. It
+# memoizes a function of the row alone, so callers that share it share
+# no result that could differ.
+_ROW_ARGMAX: dict[tuple[int, int], tuple] = {}
+
+
+def _row_argmax(row: Row, vocab_size: int) -> int:
+    """``int(_dense(row, vocab_size).argmax())``, computed once per row."""
+    ids, probs, rest = row
+    key = (id(row), vocab_size)
+    entry = _ROW_ARGMAX.get(key)
+    if entry is None or entry[0]() is not ids or entry[1]() is not probs or entry[2] != rest:
+        if len(_ROW_ARGMAX) >= 2**14:
+            _ROW_ARGMAX.clear()
+        choice = _argmax(ids, probs, rest, vocab_size)[0]
+        entry = _ROW_ARGMAX[key] = (weakref.ref(ids), weakref.ref(probs), rest, choice)
+    return entry[3]
+
+
+def _greedy_choice(rows: Sequence[Row], lam: float, vocab_size: int) -> int:
+    """``int(_debiased(rows, lam, vocab_size).argmax())`` from the rows' ids.
+
+    The scores are computed on the rows' ids, or on their union when the
+    ids differ; every token off them shares one score, computed in Python
+    floats with the same bits. The best score wins, the lower id on a tie,
+    and when every score clamps to 0 the target row's own argmax does. The
+    dense step divides by its total before the argmax, so a score within
+    rounding below the best could tie it there: such a step is taken
+    densely.
+    """
     target, counters = rows[0], list({id(row): row for row in rows[1:]}.values())
     ids = target[0]
-    if any(row_ids is not ids for row_ids, _, _ in counters):
-        dense = [_dense(row, vocab_size) for row in (target, *counters)]
-        return self_debias_step(dense[0], dense[1:], lam)
-    scores = suppressed_scores(target[1], [probs for _, probs, _ in counters], lam)
-    other = suppressed_scores(target[2], [rest for _, _, rest in counters], lam)
-    # self_debias_step's total <= 0 without the V-wide sum: scores are >= 0,
-    # so the dense sum is 0 exactly when none is positive, and the shared
-    # score counts only if some token is off the ids. At lam >= 1 with one
-    # shared context every step falls back; skipping the fill and sum
-    # there gives 12% of augment items_per_s (2-vCPU VM).
-    if scores.any() or (len(ids) < vocab_size and other > 0):
-        out = np.full(vocab_size, other)
-        out[ids] = scores
-        out /= out.sum()
-    else:  # every score clamped to 0: the target distribution
-        out = _dense(target, vocab_size)
-    return out
+    if all(row[0] is ids for row in counters):
+        values = [row[1] for row in (target, *counters)]
+    else:
+        ids = np.unique(np.concatenate([row[0] for row in (target, *counters)]))
+        values = np.empty((1 + len(counters), len(ids)))
+        for on_union, (row_ids, probs, rest) in zip(values, (target, *counters)):
+            on_union.fill(rest)
+            on_union[ids.searchsorted(row_ids)] = probs
+    scores, other = suppressed_scores(values[0], values[1:], lam), float(target[2])
+    if counters:
+        other = max(0.0, other - lam * max(float(row[2]) for row in counters))
+    # scores are >= 0, so the dense total is 0 when the largest is
+    if (not len(ids) or scores[scores.argmax()] <= 0.0) and (other <= 0.0 or len(ids) == vocab_size):
+        return _row_argmax(target, vocab_size)
+    choice, best = _argmax(ids, scores, other, vocab_size)
+    floor = best * _ROUNDING
+    near = scores[scores >= floor]
+    if (len(near) and near.min() < best) or (len(ids) < vocab_size and floor <= other < best):
+        return int(_debiased(rows, lam, vocab_size).argmax())
+    return choice
 
 
 def generate(
@@ -435,34 +496,39 @@ def generate(
 ) -> str:
     """Decode a continuation of ``target_prompt`` away from the counters.
 
-    Every emitted token extends the target prefix and every counter prefix
-    alike; each step asks the model for all prefixes' sparse rows in one
-    ``next_token_rows`` call and debiases them, as they come:
+    Every emitted token is appended to the target prefix and every counter
+    prefix alike; each step asks the model for all prefixes' sparse rows
+    in one ``next_token_rows`` call and debiases them, as they come:
     :class:`CueBigramLM` checked every row when it built its table.
     Decoding stops at sentence-final punctuation or at the output cap.
-    Greedy by default; sampling (optionally top-k) uses the supplied or
-    seeded generator.
+    Greedy by default, picking each token on the rows' ids
+    (``_greedy_choice``), so a step costs no vocabulary-wide work.
+    Sampling, optionally from the top k tokens (higher probability first,
+    the lower id on a tie), densifies the rows and draws from the supplied
+    or seeded generator.
     """
     vocab = lm.vocabulary()
     prefixes = [prompt.split() for prompt in (target_prompt, *counter_prompts)]
-    if rng is None:
+    if rng is None and not cfg.greedy:
         rng = np.random.default_rng(cfg.seed)
     emitted: list[str] = []
     for _ in range(cfg.max_output_tokens):
-        rows = lm.next_token_rows([prefix + emitted for prefix in prefixes])
-        adjusted = _debiased(rows, cfg.lam, len(vocab))
+        rows = lm.next_token_rows(prefixes)
         if cfg.greedy:
-            choice = int(adjusted.argmax())
+            choice = _greedy_choice(rows, cfg.lam, len(vocab))
         else:
-            probs = adjusted
+            probs = _debiased(rows, cfg.lam, len(vocab))
             if cfg.top_k is not None and cfg.top_k < len(vocab):
-                keep = np.argsort(probs)[::-1][: cfg.top_k]
+                # a stable sort: ties keep id order on every CPU
+                keep = np.argsort(-probs, kind="stable")[: cfg.top_k]
                 mask = np.zeros_like(probs)
                 mask[keep] = probs[keep]
                 probs = mask / mask.sum()  # above 0: the argmax is kept
             choice = int(rng.choice(len(vocab), p=probs))
         token = vocab[choice]
         emitted.append(token)
+        for prefix in prefixes:
+            prefix.append(token)
         if token.endswith(STOP_PUNCTUATION):
             break
     return " ".join(emitted)
@@ -531,7 +597,8 @@ def augment_notes(
             )
             continue
         for idx, (sentence, _start) in enumerate(segment_sentences(note.assessment)):
-            rng = substream(cfg.seed, "augment", f"{note.doc_id}:{idx}")
+            # greedy decoding draws nothing
+            rng = None if cfg.greedy else substream(cfg.seed, "augment", f"{note.doc_id}:{idx}")
             pair = generate_pair(
                 lm,
                 sentence,

@@ -320,11 +320,11 @@ GOOD_ROW = backend_row([0], [0.9], 0.1)
 class RowLM:
     """Gives ``target`` for the first prefix and ``counter`` for every other."""
 
-    def __init__(self, counter, target=GOOD_ROW):
-        self.counter, self.target = counter, target
+    def __init__(self, counter, target=GOOD_ROW, vocab="ab"):
+        self.counter, self.target, self.vocab = counter, target, list(vocab)
 
     def vocabulary(self):
-        return ["a", "b"]
+        return self.vocab
 
     def next_token_rows(self, prefixes):
         return [self.target] + [self.counter] * (len(prefixes) - 1)
@@ -578,7 +578,8 @@ def reference_decode(lm, prompts, cfg):
             choice = int(np.argmax(dist))
         else:
             if cfg.top_k is not None and cfg.top_k < len(vocab):
-                keep = np.argsort(dist)[::-1][: cfg.top_k]
+                # higher probability first, the lower id on a tie
+                keep = sorted(range(len(vocab)), key=lambda i: (-dist[i], i))[: cfg.top_k]
                 top = np.zeros_like(dist)
                 top[keep] = dist[keep]
                 dist = top / top.sum()
@@ -637,6 +638,124 @@ def test_full_support_rows_that_clamp_to_zero_fall_back_to_the_target():
     for greedy in (True, False):
         cfg = GenerationConfig(max_output_tokens=4, greedy=greedy, seed=3)
         assert generate(lm, "x", ["y z"], cfg) == generate(lm, "x", [], cfg)
+
+
+def test_top_k_keeps_the_lower_ids_among_tied_probabilities():
+    # tokens 0-4 share the probability 0.1; the top 3 are token 5, then 0 and 1
+    lm = RowLM(None, target=backend_row([5], [0.5], 0.1), vocab="abcdef")
+    for seed in range(40):
+        cfg = GenerationConfig(max_output_tokens=4, greedy=False, top_k=3, seed=seed)
+        assert set(generate(lm, "x", [], cfg).split()) <= {"f", "a", "b"}
+
+
+# ---------------------------------------------------------------------------
+# the greedy choice on the rows' ids
+
+
+def dense_choice(rows, lam, vocab_size):
+    return int(augment._debiased(rows, lam, vocab_size).argmax())
+
+
+@st.composite
+def debias_rows(draw):
+    """A vocabulary size and three rows over it. The rows share one ids
+    array, or draw their own ids, which then overlap or are disjoint;
+    values come partly from a short list, so ties, zeros, probabilities
+    equal to a shared value and full coverage all occur. A counter may be
+    the target row itself, as when all prompts resolve to one context."""
+    size = draw(st.integers(1, 8))
+    value = st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.5]) | st.floats(0.0, 1.0)
+
+    def ids():
+        return np.array(sorted(draw(st.sets(st.integers(0, size - 1)))), dtype=np.intp)
+
+    def row(row_ids):
+        return row_ids, np.array(draw(st.lists(value, min_size=len(row_ids), max_size=len(row_ids)))), draw(value)
+
+    shared = ids() if draw(st.booleans()) else None
+    rows = [row(shared if shared is not None else ids()) for _ in range(3)]
+    for k in (1, 2):
+        if draw(st.booleans()):
+            rows[k] = rows[draw(st.integers(0, k - 1))]
+    return size, rows
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.5])
+@given(case=debias_rows())
+def test_greedy_choice_equals_the_dense_argmax_on_drawn_rows(lam, case):
+    size, rows = case
+    assert augment._greedy_choice(rows, lam, size) == dense_choice(rows, lam, size)
+
+
+# a table weight of 0 gives a token exactly the probability that unseen tokens share
+ZERO_WEIGHT = CueBigramLM(["a", "b", "c", "d"], {(None, "a"): {"c": 0.0}, (None, "b"): {"c": 0.0, "d": 2.0}})
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize(
+    "rows, size, expected",
+    [
+        # one row, every token at the shared probability: the lowest id
+        ([ZERO_WEIGHT.next_token_rows([["a"]])[0]] * 3, 4, 0),
+        # the zero-weight row against a row that favours d
+        (ZERO_WEIGHT.next_token_rows([["a"], ["b"], ["b"]]), 4, 0),
+        # rows that cover the vocabulary: the shared value is no token's
+        ([backend_row([0, 1, 2], [0.2, 0.5, 0.3], 0.9), backend_row([0, 1, 2], [0.1, 0.2, 0.7], 0.8)], 3, 1),
+        # at lam >= 1 every score clamps while the shared values differ: the target's own argmax
+        ([backend_row([0, 1], [0.3, 0.7], 0.7), backend_row([0, 1], [0.3, 0.7], 0.1)], 2, 1),
+        # the uniform row, alone and against a sparse counter
+        ([(np.empty(0, dtype=np.intp), np.empty(0), 0.25)] * 3, 4, 0),
+        ([(np.empty(0, dtype=np.intp), np.empty(0), 0.25), backend_row([0, 2], [0.4, 0.1], 0.25)], 4, None),
+    ],
+    ids=["zero-weight-alone", "zero-weight-vs-other", "full-coverage", "full-coverage-clamped", "uniform", "uniform-vs-sparse"],
+)
+def test_greedy_choice_edge_rows(lam, rows, size, expected):
+    got = augment._greedy_choice(rows, lam, size)
+    assert got == dense_choice(rows, lam, size)
+    if expected is not None:
+        assert got == expected
+
+
+def test_the_fallback_choice_follows_each_row_not_its_id():
+    # a row made after another is dropped often takes its id
+    for k in range(50):
+        row = backend_row([k % 5], [0.9], 0.025)
+        assert augment._row_argmax(row, 5) == k % 5
+        assert augment._greedy_choice([row, row], 1.0, 5) == k % 5
+
+
+def test_scores_one_ulp_apart_that_tie_after_division_take_the_lower_id():
+    # 0.4 and the float just below it divide by the total to one quotient,
+    # so the dense step picks token 0, whose score is the smaller
+    low = math.nextafter(0.4, 0.0)
+    row = backend_row([0, 1], [low, 0.4], 0.2097)
+    dense = augment._debiased([row], 0.0, 3)
+    assert low < 0.4 and dense[0] == dense[1]
+    assert augment._greedy_choice([row], 0.0, 3) == dense_choice([row], 0.0, 3) == 0
+
+
+def test_greedy_decoding_on_a_large_vocabulary_builds_no_vocabulary_wide_row(monkeypatch):
+    # target and counter contexts differ at the first step; later steps share one
+    fill = [f"w{i}" for i in range(200_000 - 6)]
+    lm = CueBigramLM(
+        ["x", "y", "z", ".", "same", "different", *fill],
+        {
+            ("same", "x"): {"y": 3.0, "z": 2.0},
+            ("different", "x"): {"y": 4.0},
+            (None, "z"): {".": 1.0, "y": 0.5},
+            (None, "y"): {".": 1.0},
+        },
+        cues={"same", "different"},
+    )
+    prompts = ["same x", "different x"]
+    cfgs = [GenerationConfig(max_output_tokens=5, lam=lam) for lam in (0.5, 1.0)]
+    expected = [reference_decode(lm, prompts, cfg) for cfg in cfgs]
+
+    def vocabulary_wide(*args):
+        raise AssertionError("a greedy step densified a row")
+
+    monkeypatch.setattr(augment, "_dense", vocabulary_wide)
+    assert [generate(lm, prompts[0], prompts[1:], cfg) for cfg in cfgs] == expected == ["z .", "z ."]
 
 
 def test_bigram_lm_trains_from_corpus():
