@@ -8,11 +8,13 @@ backbone is :class:`CueBigramLM`, a small cue-conditioned bigram model;
 decoding needs only its ``vocabulary`` and ``next_token_rows``, the sparse
 ``(ids, probs, rest)`` row of each prefix. Every row is checked once, when
 the table is built, so decoding takes the rows as they come. A greedy step
-scores only the rows' ids, or their union, plus the one score every other
-token shares, and picks the token that the dense step's argmax would: no
-step writes a vocabulary-wide vector, so its cost follows the rows, not
-the vocabulary. Sampling densifies the rows, since drawing from the
-distribution reads it whole.
+picks the token that the dense step's argmax would without writing a
+vocabulary-wide vector, so its cost follows the rows, not the vocabulary.
+When the prompts share one row and the strength is at least 1, every
+score clamps to 0 and the step takes that row's own argmax unscored;
+otherwise it scores only the rows' ids, or their union, plus the one
+score every other token shares. Sampling densifies the rows, since
+drawing from the distribution reads it whole.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import functools
 import logging
 import math
 import re
-import weakref
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -430,40 +431,24 @@ def _argmax(ids: np.ndarray, values: np.ndarray, other: float, vocab_size: int) 
 # A score this close below the best may divide by the total to its quotient
 _ROUNDING = 1.0 - 2.0**-50
 
-# Each target row's own argmax, keyed by the row's id and the vocabulary
-# size: weak references to the row's arrays, its shared value, the choice.
-# An entry matches only the row it was made for, so a row that reuses a
-# dead row's id replaces it; the map is emptied when it grows large. It
-# memoizes a function of the row alone, so callers that share it share
-# no result that could differ.
-_ROW_ARGMAX: dict[tuple[int, int], tuple] = {}
-
-
-def _row_argmax(row: Row, vocab_size: int) -> int:
-    """``int(_dense(row, vocab_size).argmax())``, computed once per row."""
-    ids, probs, rest = row
-    key = (id(row), vocab_size)
-    entry = _ROW_ARGMAX.get(key)
-    if entry is None or entry[0]() is not ids or entry[1]() is not probs or entry[2] != rest:
-        if len(_ROW_ARGMAX) >= 2**14:
-            _ROW_ARGMAX.clear()
-        choice = _argmax(ids, probs, rest, vocab_size)[0]
-        entry = _ROW_ARGMAX[key] = (weakref.ref(ids), weakref.ref(probs), rest, choice)
-    return entry[3]
-
 
 def _greedy_choice(rows: Sequence[Row], lam: float, vocab_size: int) -> int:
     """``int(_debiased(rows, lam, vocab_size).argmax())`` from the rows' ids.
 
-    The scores are computed on the rows' ids, or on their union when the
-    ids differ; every token off them shares one score, computed in Python
-    floats with the same bits. The best score wins, the lower id on a tie,
-    and when every score clamps to 0 the target row's own argmax does. The
-    dense step divides by its total before the argmax, so a score within
-    rounding below the best could tie it there: such a step is taken
-    densely.
+    When every counter is the target row itself and ``lam >= 1``, every
+    score clamps to 0, since ``lam * p >= p`` in floats too, so the
+    target row's own argmax is taken unscored. Otherwise the scores are
+    computed on the rows' ids, or on their union when the ids differ;
+    every token off them shares one score, computed in Python floats with
+    the same bits. The best score wins, the lower id on a tie, and when
+    every score clamps to 0 the target row's own argmax does. The dense step
+    divides by its total before the argmax, so a score within rounding
+    below the best could tie it there: such a step is taken densely.
     """
     target, counters = rows[0], list({id(row): row for row in rows[1:]}.values())
+    # a lone target is not debiased: the dense step divides it by its total
+    if counters and lam >= 1.0 and all(row is target for row in counters):
+        return _argmax(*target, vocab_size)[0]
     ids = target[0]
     if all(row[0] is ids for row in counters):
         values = [row[1] for row in (target, *counters)]
@@ -478,7 +463,7 @@ def _greedy_choice(rows: Sequence[Row], lam: float, vocab_size: int) -> int:
         other = max(0.0, other - lam * max(float(row[2]) for row in counters))
     # scores are >= 0, so the dense total is 0 when the largest is
     if (not len(ids) or scores[scores.argmax()] <= 0.0) and (other <= 0.0 or len(ids) == vocab_size):
-        return _row_argmax(target, vocab_size)
+        return _argmax(*target, vocab_size)[0]
     choice, best = _argmax(ids, scores, other, vocab_size)
     floor = best * _ROUNDING
     near = scores[scores >= floor]

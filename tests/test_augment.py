@@ -34,7 +34,9 @@ from notesum.augment import (
     write_pairs,
 )
 from notesum.corpus import ProgressNote
+from notesum.dataset import read_section_notes
 from notesum.errors import ConfigurationError, DataError, ParseError
+from notesum.text import segment_sentences
 
 
 def test_exactly_three_labels_exist():
@@ -720,7 +722,6 @@ def test_the_fallback_choice_follows_each_row_not_its_id():
     # a row made after another is dropped often takes its id
     for k in range(50):
         row = backend_row([k % 5], [0.9], 0.025)
-        assert augment._row_argmax(row, 5) == k % 5
         assert augment._greedy_choice([row, row], 1.0, 5) == k % 5
 
 
@@ -732,6 +733,70 @@ def test_scores_one_ulp_apart_that_tie_after_division_take_the_lower_id():
     dense = augment._debiased([row], 0.0, 3)
     assert low < 0.4 and dense[0] == dense[1]
     assert augment._greedy_choice([row], 0.0, 3) == dense_choice([row], 0.0, 3) == 0
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.5])
+def test_the_one_ulp_row_alone_and_against_itself(lam):
+    # alone it is not debiased, so the dense step divides it by its total
+    # and the near tie goes to token 0 at every lam; against itself at
+    # lam >= 1 every score clamps to 0 and the row's own argmax, token 1,
+    # wins, while below 1 the scores keep the row's ratios
+    row = backend_row([0, 1], [math.nextafter(0.4, 0.0), 0.4], 0.2097)
+    for rows, expected in (([row], 0), ([row, row, row], 1 if lam >= 1.0 else 0)):
+        assert augment._greedy_choice(rows, lam, 3) == dense_choice(rows, lam, 3) == expected
+
+
+def golden_jobs():
+    """The model ``augment`` builds from the golden section notes, and the
+    terms and three prompts of each of its generation jobs."""
+    notes = list(read_section_notes(Path(__file__).resolve().parent / "golden" / "sections.jsonl"))
+    lm = CueBigramLM.from_corpus(t for t in [n.assessment for n in notes] + [n.summary for n in notes] if t)
+    templates = TemplateSet.defaults()
+    jobs = []
+    for note in notes:
+        for sentence, _start in segment_sentences(note.assessment):
+            terms = select_terms(sentence, note.summary)
+            prompts = [
+                instantiate_template(templates[label, len(terms)], terms, sentence)
+                for label in (LabelId.SAME_THING, *augment.COUNTER_LABELS)
+            ]
+            jobs.append((note.summary, sentence, terms, prompts))
+    return lm, templates, jobs
+
+
+def test_the_shipped_model_gives_the_prompts_one_row_and_decodes_it_unscored(monkeypatch):
+    # a change that stops the prompts sharing a row object fails here, not
+    # only as a slower augment
+    lm, templates, jobs = golden_jobs()
+    assert len(jobs) > 20
+    for _summary, _sentence, _terms, prompts in jobs:
+        first, *others = lm.next_token_rows([p.split() for p in prompts])
+        assert all(row is first for row in others)
+
+    def expected(cfg):
+        out = []
+        for summary, sentence, terms, prompts in jobs:
+            text = reference_decode(lm, prompts, cfg)
+            out.append(text if validate_terms(text, terms) else None)
+        return out
+
+    def decoded(cfg):
+        pairs = [generate_pair(lm, sentence, summary, templates, cfg) for summary, sentence, _, _ in jobs]
+        return [None if pair is None else pair.generated for pair in pairs]
+
+    for lam in (0.0, 0.5):
+        cfg = GenerationConfig(lam=lam)
+        assert decoded(cfg) == expected(cfg)
+    cfgs = [GenerationConfig(lam=lam) for lam in (1.0, 2.5)]
+    references = [expected(cfg) for cfg in cfgs]
+
+    def scored(*args):
+        raise AssertionError("a step on one shared row was scored")
+
+    monkeypatch.setattr(augment, "suppressed_scores", scored)
+    monkeypatch.setattr(augment, "_dense", scored)
+    assert [decoded(cfg) for cfg in cfgs] == references
+    assert any(references[0])
 
 
 def test_greedy_decoding_on_a_large_vocabulary_builds_no_vocabulary_wide_row(monkeypatch):
