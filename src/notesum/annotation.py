@@ -283,14 +283,17 @@ class StandoffIndex:
                         line=lineno,
                     )
                 doc_id, sent_idx, start, end, label = parts
-                try:
-                    key = (doc_id, int(sent_idx))
-                    span = (int(start), int(end), label)
-                except ValueError as exc:
-                    raise ParseError(
-                        f"non-integer field: {exc}", path=str(path), line=lineno
-                    ) from None
-                if span[0] < 0 or span[1] <= span[0]:
+                for number in (sent_idx, start, end):
+                    # int() would also take "-1", "1_0" and non-ASCII digits
+                    if not (number.isascii() and number.isdigit()):
+                        raise ParseError(
+                            f"field {number!r} is not a number in ASCII digits",
+                            path=str(path),
+                            line=lineno,
+                        )
+                key = (doc_id, int(sent_idx))
+                span = (int(start), int(end), label)
+                if span[1] <= span[0]:
                     raise ParseError(
                         f"invalid token range {span[0]}..{span[1]}",
                         path=str(path),

@@ -183,12 +183,10 @@ class CueBigramLM:
     inside the vocabulary, its probabilities and ``rest`` are finite and
     >= 0, and its mass is 1 up to rounding. A table weight or a row sum
     that would break this is a ConfigurationError at build.
-    Building them is array work. The normalizers come a block of contexts
-    at a time from a buffer of about 1 MiB that holds each context's dense
-    smoothed row, summed row by row. NumPy sums each row of a C-ordered
-    block as it sums one vector, so ``next_token_distribution``, which
-    densifies a row, gives byte for byte the dense smoothed row divided by
-    that row's own sum.
+    A row's normalizer is the sum of its own entries: its smoothed seen
+    weights added in ascending id order, then the smoothing of its unseen
+    tokens added once, so building the table never touches a
+    vocabulary-wide row.
     """
 
     def __init__(
@@ -271,17 +269,10 @@ class CueBigramLM:
         size, count = len(vocab), len(keys)
         bounds = np.searchsorted(context, np.arange(count + 1))
         smoothed = BIGRAM_SMOOTHING + weights
-        z = np.empty(count)
-        step = max(1, 2**17 // size)  # rows of a block of about 1 MiB
-        block = np.full((min(step, count), size), BIGRAM_SMOOTHING)
-        for r0 in range(0, count, step):
-            r1 = min(r0 + step, count)
-            a, b = bounds[r0], bounds[r1]
-            cells = (context[a:b] - r0, tokens[a:b])
-            block[cells] = smoothed[a:b]
-            with np.errstate(over="ignore"):  # an overflowing sum is rejected below
-                z[r0:r1] = block[: r1 - r0].sum(axis=1)
-            block[cells] = BIGRAM_SMOOTHING
+        with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+            z = np.bincount(context, weights=smoothed, minlength=count) + BIGRAM_SMOOTHING * (
+                size - np.diff(bounds)
+            )
         finite = np.isfinite(z)
         if not finite.all():
             i = int(finite.argmin())

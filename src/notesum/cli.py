@@ -13,7 +13,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, get_args, get_type_hints
 
@@ -222,7 +222,7 @@ def cmd_build_pretrain(args: argparse.Namespace) -> int:
     stats.check()
     if args.stats_json:
         Path(args.stats_json).write_text(
-            json.dumps(stats.as_dict(), indent=2) + "\n", encoding="utf-8"
+            json.dumps(asdict(stats), indent=2) + "\n", encoding="utf-8"
         )
     if args.corpus is None:
         print(stats.report())

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-from dataclasses import dataclass, asdict
+import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -93,9 +94,6 @@ class CorpusStats:
             raise DataError("stats violate rows_no_entities <= min(no_umls, no_i2b2)")
         if max(self.rows_no_umls, self.rows_no_i2b2) > self.total_rows:
             raise DataError("stats violate no-entity rows <= total_rows")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
     def report(self) -> str:
         return (
@@ -187,8 +185,8 @@ def build_pretrain_corpus(
     warning and counted in ``stats.skipped``. Returns the example iterator
     and the stats object it updates; counters are final once the iterator
     is exhausted. ``workers > 1`` fans annotation/masking out to a process
-    pool while preserving input order, so the output bytes never depend on
-    the worker count.
+    pool of at most one process per CPU while preserving input order, so
+    the output bytes never depend on the worker count.
     """
     if stats is None:
         stats = CorpusStats()
@@ -220,10 +218,14 @@ def build_pretrain_corpus(
 
     if workers <= 1:
         return consume(serial()), stats
+    # each process inherits both dictionaries; more than one per CPU gains nothing
+    cpus = os.cpu_count() or 1
+    processes = min(workers, cpus)
+    log.info("masking in %d processes: %d workers asked, %d CPUs", processes, workers, cpus)
 
     def parallel():
         with multiprocessing.Pool(
-            workers,
+            processes,
             initializer=_init_worker,
             initargs=(umls_dict, i2b2_source, mask_cfg, annot_cfg),
         ) as pool:

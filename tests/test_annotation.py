@@ -514,3 +514,9 @@ def test_standoff_rejects_malformed_lines(tmp_path):
     bad.write_text("doc-1\t0\t4\t2\tproblem\n", encoding="utf-8")
     with pytest.raises(ParseError):
         StandoffIndex.load(bad)
+    # int() reads these as -1, 10 and 3; each must be plain ASCII digits
+    for line in ("doc\t-1\t0\t1\tX", "doc\t0\t1_0\t12\tX", "doc\t0\t0\t ٣ \tX"):
+        bad.write_text(f"doc\t0\t0\t1\tX\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            StandoffIndex.load(bad)
+        assert "bad.tsv:2" in str(exc.value), line

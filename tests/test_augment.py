@@ -342,8 +342,18 @@ def test_unsigned_ids_decode_like_signed_ones():
         assert generate(RowLM(counter, target=unsigned), "x", ["y z"], cfg) == expected
 
 
-def dense_reference_row(vocab, table, cues, prefix):
-    """The dense formula: smoothed row, += each weight, / row.sum()."""
+def row_normalizer(vocab, weights):
+    """A context's normalizer as a loop: 0.0, plus the smoothed weight of
+    each seen id in ascending order, plus the smoothing of every unseen id."""
+    ids = {w: i for i, w in enumerate(vocab)}
+    z = 0.0
+    for _, weight in sorted((ids[token], float(weight)) for token, weight in weights.items()):
+        z += BIGRAM_SMOOTHING + weight
+    return z + BIGRAM_SMOOTHING * (len(vocab) - len(weights))
+
+
+def reference_row(vocab, table, cues, prefix):
+    """The smoothed row of the prefix's context over its own sum."""
     ids = {w: i for i, w in enumerate(vocab)}
     cue = next((t for t in reversed(prefix) if t in cues), None)
     prev = prefix[-1] if prefix else ""
@@ -352,7 +362,7 @@ def dense_reference_row(vocab, table, cues, prefix):
             row = np.full(len(vocab), BIGRAM_SMOOTHING, dtype=float)
             for token, weight in table[key].items():
                 row[ids[token]] += float(weight)
-            return row / row.sum()
+            return row / row_normalizer(vocab, table[key])
     return np.full(len(vocab), 1.0 / len(vocab))
 
 
@@ -372,14 +382,14 @@ def bigram_tables(draw, max_weight=100.0):
 
 
 @given(bigram_tables())
-def test_sparse_rows_equal_the_dense_formula_byte_for_byte(case):
+def test_sparse_rows_equal_the_reference_row_byte_for_byte(case):
     vocab, table, cues, prefixes = case
     lm = CueBigramLM(vocab, table, cues=cues)
     rows = lm.next_token_rows(prefixes)
     assert len(rows) == len(prefixes)
     for prefix, (ids, probs, rest) in zip(prefixes, rows):
         dist = lm.next_token_distribution(prefix)
-        assert dist.tobytes() == dense_reference_row(vocab, table, cues, prefix).tobytes()
+        assert dist.tobytes() == reference_row(vocab, table, cues, prefix).tobytes()
         # a row's ids ascend, and it densifies to the same bytes
         assert ids.dtype == np.intp and (ids[1:] > ids[:-1]).all()
         dense = np.full(len(vocab), rest)
@@ -408,7 +418,7 @@ def test_last_cue_wins_and_contexts_fall_back_in_order():
     for prefix, top in cases:
         dist = lm.next_token_distribution(prefix)
         assert vocab[int(dist.argmax())] == top, prefix
-        assert dist.tobytes() == dense_reference_row(vocab, table, cues, prefix).tobytes()
+        assert dist.tobytes() == reference_row(vocab, table, cues, prefix).tobytes()
     # an unseen (cue, prev) falls back to (None, prev); a model without
     # (None, "") ends at uniform
     lm = CueBigramLM(vocab, {(None, "p"): {"c": 1.0}}, cues={"c3"})
@@ -419,7 +429,7 @@ def test_last_cue_wins_and_contexts_fall_back_in_order():
     for prefix in (["c2", "p"], ["c1", "p"]):
         assert vocab[int(lm.next_token_distribution(prefix).argmax())] == "c"
         assert lm.next_token_distribution(prefix).tobytes() == (
-            dense_reference_row(vocab, table, set(), prefix).tobytes()
+            reference_row(vocab, table, set(), prefix).tobytes()
         )
 
 
@@ -476,19 +486,16 @@ def test_a_row_sum_past_the_largest_float_is_rejected_at_build():
 
 
 def per_context_rows(vocab, table):
-    """The table built one context at a time: each context's dense
-    smoothed row filled and summed on its own."""
+    """The table built one context at a time, each row over its own
+    loop-summed normalizer."""
     vocab = tuple(dict.fromkeys(vocab))
     ids = {w: i for i, w in enumerate(vocab)}
     rows = {}
-    dense = np.empty(len(vocab))
     for key, weights in table.items():
-        row_ids = np.array([ids[token] for token in weights], dtype=np.intp)
-        dense.fill(BIGRAM_SMOOTHING)
-        dense[row_ids] += np.array([float(w) for w in weights.values()])
-        z = dense.sum()
-        row_ids.sort()
-        rows[key] = (row_ids, dense[row_ids] / z, BIGRAM_SMOOTHING / z)
+        z = row_normalizer(vocab, weights)
+        seen = sorted((ids[token], BIGRAM_SMOOTHING + float(w)) for token, w in weights.items())
+        row_ids = np.array([i for i, _ in seen], dtype=np.intp)
+        rows[key] = (row_ids, np.array([s for _, s in seen]) / z, BIGRAM_SMOOTHING / z)
     return rows
 
 
@@ -518,9 +525,6 @@ def assert_rows_equal(lm, reference):
             assert np.asarray(got_part).tobytes() == np.asarray(want_part).tobytes(), prefix
 
 
-# Vocabularies above 128 tokens make NumPy's pairwise sum recurse, and more
-# contexts than the 2**17 // V rows of one normalizing block leave the last
-# block partial: row sums keep the bits of the one-vector sum through both.
 @settings(max_examples=20, deadline=None)
 @given(size=st.integers(450, 900), per_row=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
 def test_table_build_equals_the_per_context_loop(size, per_row, seed):
@@ -531,7 +535,6 @@ def test_table_build_equals_the_per_context_loop(size, per_row, seed):
     p = 0.5 / size + 0.5 * zipf / zipf.sum()
     sentences = [" ".join(rng.choice(vocab, rng.integers(0, 21), p=p)) for _ in range(300)]
     corpus_vocab, table = counted_table(sentences)
-    assert len(table) > 2**17 // len(corpus_vocab)
     lm = CueBigramLM.from_corpus(sentences)
     assert list(lm.vocabulary()) == corpus_vocab
     assert_rows_equal(lm, per_context_rows(corpus_vocab, table))
@@ -543,7 +546,6 @@ def test_table_build_equals_the_per_context_loop(size, per_row, seed):
         counts = rng.integers(0, 50, len(tokens)).tolist()
         scaled = (rng.random(len(tokens)) * 10.0 ** rng.integers(-3, 4, len(tokens))).tolist()
         table[keys[k]] = dict(zip(tokens, counts if rng.random() < 0.5 else scaled))
-    assert len(table) > 2**17 // size
     lm = CueBigramLM(vocab + vocab[:3], table, cues={"c0", "c1"})
     assert_rows_equal(lm, per_context_rows(vocab, table))
 

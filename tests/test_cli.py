@@ -736,6 +736,15 @@ def run_notesum(args, **paths):
     )
 
 
+def test_the_module_entry_point_exits_with_the_cli_codes():
+    result = run_notesum(["--help"])
+    assert result.returncode == EXIT_OK, result.stderr
+    assert "evaluate" in result.stdout
+    result = run_notesum(["evaluate"])
+    assert result.returncode == EXIT_CONFIG
+    assert "--pred" in result.stderr and "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_RECORD_CASES))
 def test_malformed_record_exits_data_naming_its_line(tmp_path, case):
     good, bad, args = MALFORMED_RECORD_CASES[case]

@@ -1,10 +1,12 @@
 import json
+import logging
 import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from notesum import corpus
 from notesum.corpus import (
     AnnotationConfig,
     CorpusStats,
@@ -133,6 +135,41 @@ def test_worker_count_does_not_change_output(tmp_path, umls_dict, i2b2_dict):
         write_corpus(examples, path)
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("workers, cpus, processes", [(10**6, 3, 3), (3, 8, 3), (2, 1, 1), (2, None, 1)])
+def test_the_pool_is_capped_at_the_cpu_count(
+    monkeypatch, caplog, umls_dict, i2b2_dict, workers, cpus, processes
+):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    rng = random.Random(8)
+    notes = [ProgressNote(doc_id=f"n{i}", text=make_note_text(rng)) for i in range(10)]
+    cfg = MaskPolicyConfig(seed=4)
+    serial, _ = build_pretrain_corpus(iter(notes), umls_dict, i2b2_dict, cfg)
+    monkeypatch.setattr(corpus.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(corpus.os, "cpu_count", lambda: cpus)
+    caplog.set_level(logging.INFO, logger="notesum.corpus")
+    pooled, _ = build_pretrain_corpus(iter(notes), umls_dict, i2b2_dict, cfg, workers=workers)
+    assert list(pooled) == list(serial)
+    assert sizes == [processes]
+    assert f"masking in {processes} processes: {workers} workers asked" in caplog.text
 
 
 def test_corpus_write_read_round_trip(tmp_path):
