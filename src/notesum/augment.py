@@ -8,13 +8,13 @@ backbone is :class:`CueBigramLM`, a small cue-conditioned bigram model;
 decoding needs only its ``vocabulary`` and ``next_token_rows``, the sparse
 ``(ids, probs, rest)`` row of each prefix. Every row is checked once, when
 the table is built, so decoding takes the rows as they come. A greedy step
-picks the token that the dense step's argmax would without writing a
-vocabulary-wide vector, so its cost follows the rows, not the vocabulary.
-When the prompts share one row and the strength is at least 1, every
-score clamps to 0 and the step takes that row's own argmax unscored;
-otherwise it scores only the rows' ids, or their union, plus the one
-score every other token shares. Sampling densifies the rows, since
-drawing from the distribution reads it whole.
+takes the highest score, the lower id on a tie, and never densifies a
+row, so its cost follows the rows, not the vocabulary. When the prompts
+share one row and the strength is at least 1, every score clamps to 0
+and the step takes that row's own argmax unscored; otherwise it scores
+only the rows' ids, or their union, plus the one score every other token
+shares. Sampling densifies the rows, since drawing from the distribution
+reads it whole.
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ class GenerationConfig:
             problems.append(f"lam: must be a finite number >= 0, got {self.lam}")
         if self.top_k is not None and self.top_k < 1:
             problems.append(f"top_k: must be >= 1, got {self.top_k}")
+        elif self.top_k is not None and self.greedy:
+            problems.append("top_k: applies only when sampling (greedy is true)")
         if problems:
             raise ConfigurationError(*problems)
 
@@ -419,26 +421,21 @@ def _argmax(ids: np.ndarray, values: np.ndarray, other: float, vocab_size: int) 
     return choice, best
 
 
-# A score this close below the best may divide by the total to its quotient
-_ROUNDING = 1.0 - 2.0**-50
-
-
 def _greedy_choice(rows: Sequence[Row], lam: float, vocab_size: int) -> int:
-    """``int(_debiased(rows, lam, vocab_size).argmax())`` from the rows' ids.
+    """The token of highest score ``max(0, p_t - lam * max p_c)``, the
+    lower id on a tie, of the first row against the others.
 
-    When every counter is the target row itself and ``lam >= 1``, every
-    score clamps to 0, since ``lam * p >= p`` in floats too, so the
-    target row's own argmax is taken unscored. Otherwise the scores are
-    computed on the rows' ids, or on their union when the ids differ;
-    every token off them shares one score, computed in Python floats with
-    the same bits. The best score wins, the lower id on a tie, and when
-    every score clamps to 0 the target row's own argmax does. The dense step
-    divides by its total before the argmax, so a score within rounding
-    below the best could tie it there: such a step is taken densely.
+    Dividing by a positive total keeps the scores' order, so this is also
+    the debiased distribution's argmax; when every score is 0, the target
+    row's own argmax wins. When every counter is the target row and
+    ``lam >= 1``, every score clamps to 0 (``lam * p >= p`` in floats too),
+    so that argmax is taken unscored. Otherwise the scores are computed on
+    the rows' ids, or on their union when the ids differ; every token off
+    them shares one score, computed in Python floats with the same bits.
+    A greedy step never densifies a row.
     """
     target, counters = rows[0], list({id(row): row for row in rows[1:]}.values())
-    # a lone target is not debiased: the dense step divides it by its total
-    if counters and lam >= 1.0 and all(row is target for row in counters):
+    if lam >= 1.0 and all(row is target for row in counters):
         return _argmax(*target, vocab_size)[0]
     ids = target[0]
     if all(row[0] is ids for row in counters):
@@ -452,15 +449,8 @@ def _greedy_choice(rows: Sequence[Row], lam: float, vocab_size: int) -> int:
     scores, other = suppressed_scores(values[0], values[1:], lam), float(target[2])
     if counters:
         other = max(0.0, other - lam * max(float(row[2]) for row in counters))
-    # scores are >= 0, so the dense total is 0 when the largest is
-    if (not len(ids) or scores[scores.argmax()] <= 0.0) and (other <= 0.0 or len(ids) == vocab_size):
-        return _argmax(*target, vocab_size)[0]
     choice, best = _argmax(ids, scores, other, vocab_size)
-    floor = best * _ROUNDING
-    near = scores[scores >= floor]
-    if (len(near) and near.min() < best) or (len(ids) < vocab_size and floor <= other < best):
-        return int(_debiased(rows, lam, vocab_size).argmax())
-    return choice
+    return choice if best > 0.0 else _argmax(*target, vocab_size)[0]
 
 
 def generate(
@@ -477,8 +467,9 @@ def generate(
     in one ``next_token_rows`` call and debiases them, as they come:
     :class:`CueBigramLM` checked every row when it built its table.
     Decoding stops at sentence-final punctuation or at the output cap.
-    Greedy by default, picking each token on the rows' ids
-    (``_greedy_choice``), so a step costs no vocabulary-wide work.
+    Greedy by default: each step takes the token of highest score, the
+    lower id on a tie, from the rows' ids (``_greedy_choice``) and never
+    densifies a row, so it costs no vocabulary-wide work.
     Sampling, optionally from the top k tokens (higher probability first,
     the lower id on a tie), densifies the rows and draws from the supplied
     or seeded generator.

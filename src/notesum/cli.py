@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-out", dest="max_output_tokens", type=int)
     p.add_argument("--sampling", dest="greedy", action="store_const", const=False,
                    help="sample instead of greedy decoding")
-    p.add_argument("--top-k", type=int)
+    p.add_argument("--top-k", type=int,
+                   help="sample from the k most probable tokens (needs --sampling)")
     p.add_argument("--seed", type=int, help="decoding seed")
     p.add_argument("--out", required=True)
     _add_common(p)

@@ -5,6 +5,7 @@ import tracemalloc
 import warnings
 from collections import Counter, defaultdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,6 +59,14 @@ def test_generation_config_reports_every_problem():
             "lam",
             "top_k",
         ]
+
+
+def test_top_k_without_sampling_is_a_configuration_error():
+    # greedy decoding never reads top_k, so a run would silently ignore it
+    with pytest.raises(ConfigurationError) as exc:
+        GenerationConfig(top_k=3)
+    assert exc.value.problems == ["top_k: applies only when sampling (greedy is true)"]
+    assert GenerationConfig(greedy=False, top_k=3).top_k == 3
 
 
 def test_default_prompt_instantiation_is_byte_exact():
@@ -577,10 +586,11 @@ def reference_decode(lm, prompts, cfg):
         if len(prefixes) > 1:
             p_c = np.max([lm.next_token_distribution(p + emitted) for p in prefixes[1:]], axis=0)
             scores = np.maximum(0.0, p_t - cfg.lam * p_c)
-        dist = p_t if scores.sum() <= 0.0 else scores / scores.sum()
         if cfg.greedy:
-            choice = int(np.argmax(dist))
+            # the highest score, the lower id on a tie; the target's argmax when every score is 0
+            choice = int(np.argmax(scores if scores.max() > 0.0 else p_t))
         else:
+            dist = p_t if scores.sum() <= 0.0 else scores / scores.sum()
             if cfg.top_k is not None and cfg.top_k < len(vocab):
                 # higher probability first, the lower id on a tie
                 keep = sorted(range(len(vocab)), key=lambda i: (-dist[i], i))[: cfg.top_k]
@@ -657,7 +667,22 @@ def test_top_k_keeps_the_lower_ids_among_tied_probabilities():
 
 
 def dense_choice(rows, lam, vocab_size):
-    return int(augment._debiased(rows, lam, vocab_size).argmax())
+    """The token of highest score on the rows densified here, the lower id
+    on a tie, or the target's own argmax when every score is 0."""
+    dense = []
+    for ids, probs, rest in rows:
+        row = np.full(vocab_size, float(rest))
+        row[ids] = probs
+        dense.append(row)
+    scores = dense[0]
+    if len(dense) > 1:
+        scores = np.maximum(0.0, dense[0] - lam * np.max(dense[1:], axis=0))
+    return int(np.argmax(scores if scores.max() > 0.0 else dense[0]))
+
+
+def never_densified():
+    """Patch ``augment._dense`` to fail the test if a step calls it."""
+    return mock.patch.object(augment, "_dense", side_effect=AssertionError("a greedy step densified a row"))
 
 
 @st.composite
@@ -688,7 +713,8 @@ def debias_rows(draw):
 @given(case=debias_rows())
 def test_greedy_choice_equals_the_dense_argmax_on_drawn_rows(lam, case):
     size, rows = case
-    assert augment._greedy_choice(rows, lam, size) == dense_choice(rows, lam, size)
+    with never_densified():
+        assert augment._greedy_choice(rows, lam, size) == dense_choice(rows, lam, size)
 
 
 # a table weight of 0 gives a token exactly the probability that unseen tokens share
@@ -727,25 +753,26 @@ def test_the_fallback_choice_follows_each_row_not_its_id():
         assert augment._greedy_choice([row, row], 1.0, 5) == k % 5
 
 
-def test_scores_one_ulp_apart_that_tie_after_division_take_the_lower_id():
-    # 0.4 and the float just below it divide by the total to one quotient,
-    # so the dense step picks token 0, whose score is the smaller
+def test_scores_one_ulp_apart_take_the_higher_score():
+    # 0.4 and the float just below it divide by their total to one
+    # quotient, but the greedy choice is on the scores: token 1 wins
     low = math.nextafter(0.4, 0.0)
     row = backend_row([0, 1], [low, 0.4], 0.2097)
-    dense = augment._debiased([row], 0.0, 3)
-    assert low < 0.4 and dense[0] == dense[1]
-    assert augment._greedy_choice([row], 0.0, 3) == dense_choice([row], 0.0, 3) == 0
+    quotients = np.array([low, 0.4, 0.2097]) / (low + 0.4 + 0.2097)
+    assert low < 0.4 and quotients[0] == quotients[1]
+    with never_densified():
+        assert augment._greedy_choice([row], 0.0, 3) == dense_choice([row], 0.0, 3) == 1
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.5])
 def test_the_one_ulp_row_alone_and_against_itself(lam):
-    # alone it is not debiased, so the dense step divides it by its total
-    # and the near tie goes to token 0 at every lam; against itself at
-    # lam >= 1 every score clamps to 0 and the row's own argmax, token 1,
-    # wins, while below 1 the scores keep the row's ratios
+    # alone its scores are its probabilities; against itself below lam 1
+    # the scores keep the row's order, and at lam >= 1 every score clamps
+    # to 0 and the row's own argmax wins: token 1 every time
     row = backend_row([0, 1], [math.nextafter(0.4, 0.0), 0.4], 0.2097)
-    for rows, expected in (([row], 0), ([row, row, row], 1 if lam >= 1.0 else 0)):
-        assert augment._greedy_choice(rows, lam, 3) == dense_choice(rows, lam, 3) == expected
+    with never_densified():
+        for rows in ([row], [row, row, row]):
+            assert augment._greedy_choice(rows, lam, 3) == dense_choice(rows, lam, 3) == 1
 
 
 def golden_jobs():

@@ -91,6 +91,17 @@ def test_infinite_lambda_exits_config_naming_lam(tmp_path, caplog):
     assert main(args + ["--lambda", "1e308"]) == EXIT_OK
 
 
+def test_top_k_without_sampling_exits_config_naming_top_k(tmp_path, caplog):
+    # greedy decoding never reads top_k: the run would write the bytes it
+    # writes without the flag
+    train = tmp_path / "train.jsonl"
+    train.write_text(json.dumps(SECTION_NOTE) + "\n", encoding="utf-8")
+    args = ["augment", "--train", str(train), "--out", str(tmp_path / "o"), "--top-k", "3"]
+    assert main(args) == EXIT_CONFIG
+    assert "\n  top_k: applies only when sampling (greedy is true)" in caplog.text
+    assert main(args + ["--sampling"]) == EXIT_OK
+
+
 def test_train_file_without_text_exits_data_naming_train(tmp_path, caplog):
     # notes with no assessment or summary, or only whitespace there, give
     # the bigram model no text to train on
