@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from notesum import annotation
 from notesum.annotation import (
     I2B2_CHANNEL,
     UMLS_CHANNEL,
@@ -211,8 +212,21 @@ VOCAB = ["pt", "on", "cpap", "heart", "failure", "renal", "noted", "sat",
 THRESHOLDS = (0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 1.0)
 
 
+# annotate scores a sentence's windows one by one below BATCH_WINDOWS of
+# them and in one batch from there: 0 sends every sentence to the batch,
+# and a count above any sentence's windows sends none
+SCORING_PATHS = {"batch": 0, "per-window": 10**9}
+
+
 def spans_of(tokens, d, threshold, max_window):
-    return [(s.start, s.end, s.score) for s in annotate(tokens, d, threshold, max_window)]
+    """The spans both scoring paths find, which must be the same."""
+    found = {}
+    for path, cutover in SCORING_PATHS.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(annotation, "BATCH_WINDOWS", cutover)
+            found[path] = [(s.start, s.end, s.score) for s in annotate(tokens, d, threshold, max_window)]
+    assert found["batch"] == found["per-window"]
+    return found["batch"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -390,6 +404,43 @@ def test_annotate_is_repeatable_and_survives_pickling_a_used_dictionary():
     assert [spans_of(t, copy, 0.6, 6) for t in sentences] == first
 
 
+def test_annotate_scores_long_sentences_in_one_batch_as_the_oracle_does(monkeypatch):
+    # 45-word sentences over 300 entries of repeated letters: every sentence
+    # has more windows left than BATCH_WINDOWS, so the default path is the
+    # batch, and grams recur before most window starts
+    rng = random.Random(17)
+    vocab = ["".join(rng.choice("abcde") for _ in range(rng.randint(1, 6))) for _ in range(60)]
+    entries = set()
+    while len(entries) < 300:
+        entries.add(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 3))))
+    d = TermDictionary(sorted(entries), UMLS_CHANNEL)
+    runs = []
+    score_run = annotation._score_run
+
+    def recording(dictionary, left, *args):
+        scores = score_run(dictionary, left, *args)
+        runs.append((len(left), len({i for i, _, _ in left}), scores is None))
+        return scores
+
+    monkeypatch.setattr(annotation, "_score_run", recording)
+    chunk_cells = annotation.CHUNK_CELLS
+    for _ in range(2):
+        words = [rng.choice(vocab) for _ in range(45)]
+        tokens = tokenize(" ".join(words))
+        for threshold in (0.6, 0.8):
+            want = oracle_annotate(words, entries, threshold, 6)
+            assert want
+            # at one cell a run splits down to single starts
+            for cells in (chunk_cells, 1):
+                monkeypatch.setattr(annotation, "CHUNK_CELLS", cells)
+                runs.clear()
+                assert [(s.start, s.end, s.score) for s in annotate(tokens, d, threshold, 6)] == want
+                assert runs[0][0] >= annotation.BATCH_WINDOWS  # the first run takes every window
+                if cells == 1:
+                    assert any(split for *_, split in runs)
+                    assert all(starts > 1 for _, starts, split in runs if split)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.text(alphabet="ab c", min_size=1, max_size=14), min_size=1, max_size=8))
 def test_index_maps_each_gram_occurrence_to_the_entries_holding_it(terms):
@@ -400,8 +451,11 @@ def test_index_maps_each_gram_occurrence_to_the_entries_holding_it(terms):
         for gram, count in oracle_trigrams(entry).items():
             for k in range(1, count + 1):
                 want.setdefault(gram if k == 1 else (gram, k), []).append(i)
-    assert {key: posting.tolist() for key, posting in d._postings.items()} == want
-    assert all(type(p) is np.ndarray and p.dtype == np.intp for p in d._postings.values())
+    # key k's posting is _ids[_offsets[k]:_offsets[k + 1]]
+    offsets = d._offsets.tolist()
+    assert sorted(d._keys.values()) == list(range(len(offsets) - 1))
+    assert {key: d._ids[offsets[k] : offsets[k + 1]].tolist() for key, k in d._keys.items()} == want
+    assert d._ids.dtype == np.int32 and offsets[0] == 0 and offsets[-1] == len(d._ids)
 
 
 @settings(max_examples=100, deadline=None)
